@@ -8,11 +8,7 @@ calibrates the omitted-tail estimate used by the principal-value integral
 (H_TAIL_COEFF); and (c) the cutoff sweep of the principal-value integral
 against its closed form."""
 
-import math
-
-import numpy as np
-
-from painleve_mkdv.asymptotics import loglog_slope, v_neg_asym
+from painleve_mkdv.asymptotics import loglog_slope, remainder_envelope
 from painleve_mkdv.integrals import (TailPolicy, pv_total_integral,
                                      total_integral_formula)
 from painleve_mkdv.pii import tuned_solution
@@ -21,26 +17,12 @@ from painleve_mkdv.stokes import make_params
 PAIRS = [(0.0, 0.5), (0.25, 0.3), (-0.3, -0.4)]
 
 
-def envelope_blocks(sol, p, subtract_alpha, s_lo=20.0, s_hi=200.0):
-    c = sol.connection
-    blocks = []
-    s = s_lo
-    while s < s_hi:
-        width = 2.0 * math.pi / math.sqrt(s)
-        xs = np.linspace(-min(s + width, s_hi), -s, 50)
-        v = sol.v(xs)[0]
-        model = v_neg_asym(xs, p, c, include_alpha_term=subtract_alpha)[0]
-        blocks.append((s + 0.5 * width, float(np.max(np.abs(v - model)))))
-        s += width
-    return blocks
-
-
 def main():
     for alpha, k in PAIRS:
         p = make_params(alpha, k)
         sol = tuned_solution(p)
-        full = envelope_blocks(sol, p, True)
-        osc = envelope_blocks(sol, p, False)
+        full = remainder_envelope(sol, True)
+        osc = remainder_envelope(sol, False)
         coeff = max(val * s ** 1.75 for s, val in full)
         d = sol.connection.d
         print(f"(alpha, k) = ({alpha}, {k}):  d = {d:.4f}, "

@@ -7,8 +7,8 @@ Riemann-Hilbert parametrix identities behind them.
 from .asymptotics import psi_tilde, v_neg_asym, v_pos_asym
 from .integrals import TailPolicy, pv_total_integral, total_integral_formula, v_hat
 from .mkdv import InitialDataCoefficients, SelfSimilarField, ab_to_params, u_hat
-from .pii import evaluate_v, fit_oscillation, solve_left_launch, \
-    solve_right_launch_homogeneous, tuned_solution
+from .pii import (fit_oscillation, solve_left_launch,
+                  solve_right_launch_homogeneous, tuned_solution)
 from .stokes import (ASParams, ConnectionConstants, RHConstants,
                      connection_constants, make_params, rh_constants,
                      stokes_triple)
@@ -32,7 +32,6 @@ __all__ = [
     "solve_left_launch",
     "solve_right_launch_homogeneous",
     "fit_oscillation",
-    "evaluate_v",
     "tuned_solution",
     "total_integral_formula",
     "pv_total_integral",

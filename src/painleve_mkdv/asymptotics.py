@@ -1,6 +1,6 @@
 """Asymptotic models for v(x; alpha, k) on both ends of the real line, with
-analytic derivatives, plus the log-log slope fit used to verify remainder
-orders.
+analytic derivatives, plus the remainder envelope and log-log slope fit
+used to verify remainder orders.
 
 The oscillatory model lives on s = -x > 0:
 
@@ -17,6 +17,7 @@ through s^{-13/4}; the left ODE launches take their initial data from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "v_neg_asym",
     "v_neg_launch",
     "v_pos_asym",
+    "remainder_envelope",
     "loglog_slope",
 ]
 
@@ -160,6 +162,27 @@ def v_pos_asym(x, alpha: float):
     if v.ndim == 0:
         return float(v), float(v_prime)
     return v, v_prime
+
+
+def remainder_envelope(sol, include_alpha_term: bool):
+    """Envelope of |v - v_neg_asym| over s = -x in [20, 200]: one
+    (block centre, max) pair per oscillation period, 50 samples each.
+
+    ``sol`` is a profile evaluator (``v``, ``params``, ``connection``, as
+    ``pii.AblowitzSegurSolution``); ``loglog_slope`` of the envelope is the
+    observed remainder order.
+    """
+    p, c = sol.params, sol.connection
+    blocks = []
+    s = 20.0
+    while s < 200.0:
+        width = 2.0 * math.pi / math.sqrt(s)
+        xs = np.linspace(-min(s + width, 200.0), -s, 50)
+        v = sol.v(xs)[0]
+        model = v_neg_asym(xs, p, c, include_alpha_term)[0]
+        blocks.append((s + 0.5 * width, float(np.max(np.abs(v - model)))))
+        s += width
+    return blocks
 
 
 def loglog_slope(points) -> float:

@@ -2,18 +2,25 @@
 
     v'' = x v + 2 v^3 - alpha
 
-on the real line.  Trajectories are launched from deep in the oscillatory
-region (or, for alpha = 0, from the Airy-decay region on the right) with
-initial data taken from the asymptotic models, and integrated with an
-adaptive high-order embedded Runge-Kutta method with dense output.  A
-nonlinear least-squares fit of the oscillatory tail provides an independent
-read-back of the connection constants (d, phi).
+on the real line.  Trajectories are launched from the oscillatory region
+(or, for alpha = 0, from the Airy-decay region on the right) with initial
+data taken from the asymptotic models, and integrated with an adaptive
+high-order embedded Runge-Kutta method with dense output.  A nonlinear
+least-squares fit of the oscillatory tail provides an independent read-back
+of the connection constants (d, phi).
+
+The one evaluator, ``tuned_solution(p)``, is a cached
+``AblowitzSegurSolution``: a single left launch from x = -240, seeded from
+the oscillatory expansion through s^{-13/4}, with dense output on
+[-240, 4] and the asymptotic models beyond.  Its seam at x = 4 is the
+truncation floor of the decaying model there, below 5e-3 for d up to 1.5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,8 +39,6 @@ __all__ = [
     "solve_right_launch_homogeneous",
     "fit_oscillation",
     "AblowitzSegurSolution",
-    "get_solution",
-    "evaluate_v",
     "tuned_solution",
     "dense_residual",
 ]
@@ -223,71 +228,26 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     return float(d_fit), reduce_angle(float(phi_fit))
 
 
-_DEEP_HANDOFF = -240.0
-
-
-def _deep_left_launch(p: ASParams, depth: float, x_end: float,
-                      tol: float) -> SolutionGrid:
-    """Left launch from x = -depth with a fast sparse transport leg.
-
-    The stretch [-depth, -240] only transports the launch data (nothing
-    samples it densely), so it runs with a coarser step cap and without
-    dense output; dense output is kept on [-240, x_end].
-    """
-    c = connection_constants(p)
-    y0 = v_neg_launch(-depth, p, c)
-    leg_a = solve_ivp(
-        _system, (-depth, _DEEP_HANDOFF), y0,
-        method="DOP853", rtol=3e-10, atol=1e-16,
-        events=_blowup_event,
-        max_step=2.0 * math.pi / (8.0 * math.sqrt(depth)),
-        args=(p.alpha,),
-    )
-    if leg_a.status == 1 or not leg_a.success:
-        raise BlowupError(f"deep transport failed: {leg_a.message}")
-    grid = _integrate(tuple(leg_a.y[:, -1]), _DEEP_HANDOFF, x_end, p.alpha,
-                      tol, "left")
-    grid.launch_point = -float(depth)
-    return grid
-
-
 class AblowitzSegurSolution:
     """Piecewise evaluator for v(x; alpha, k) over the whole real line.
 
-    Left of the grid the oscillatory model is used, on [x_left, x_match] the
-    dense ODE output, and right of x_match the decaying model.  The jump at
-    the right seam is recorded at construction time.
-
-    ``launch_depth`` (optional) moves the launch point to -launch_depth while
-    keeping dense output from -240 on; deeper launches shrink the launch-data
-    error (~ depth^{-4}) that the turning region amplifies onto [0, x_match].
+    Left of the dense window [x_left, x_match] = [-240, 4] the oscillatory
+    model is used, on it the dense output of one left launch from x_left
+    (``solve_left_launch``, seeded from the expansion through s^{-13/4}),
+    and right of x_match the decaying model.  The jump at the right seam is
+    recorded at construction time; it sits at the truncation floor of the
+    decaying model there (~3e-4 to ~1e-3 for the acceptance pairs).
     """
 
-    def __init__(self, params: ASParams, x_left: float = DEFAULT_X_LEFT,
-                 x_match: float = DEFAULT_X_MATCH, tol: float = DEFAULT_TOL,
-                 launch_depth: float | None = None):
+    x_left = -240.0
+    x_match = DEFAULT_X_MATCH
+
+    def __init__(self, params: ASParams):
         self.params = params
-        self.x_match = float(x_match)
-        self.tol = float(tol)
-        if params.degenerate:
-            self.grid = _zero_grid(x_left, x_match, "left", tol)
-            self.connection = None
-            self.seam_jump = 0.0
-            self.x_left = float(x_left)
-        elif launch_depth is not None and launch_depth > -_DEEP_HANDOFF:
-            self.connection = connection_constants(params)
-            self.grid = _deep_left_launch(params, launch_depth, x_match, tol)
-            self.x_left = _DEEP_HANDOFF
-        else:
-            self.connection = connection_constants(params)
-            if launch_depth is not None:
-                x_left = -float(launch_depth)
-            self.grid = solve_left_launch(params, x_left, x_match, tol)
-            self.x_left = float(x_left)
-        if not params.degenerate:
-            v_grid = self.grid.evaluate(self.x_match)[0]
-            v_model = v_pos_asym(self.x_match, params.alpha)[0]
-            self.seam_jump = abs(v_grid - v_model)
+        self.connection = None if params.degenerate else connection_constants(params)
+        self.grid = solve_left_launch(params, self.x_left, self.x_match, DEFAULT_TOL)
+        v_grid = self.grid.evaluate(self.x_match)[0]
+        self.seam_jump = abs(v_grid - v_pos_asym(self.x_match, params.alpha)[0])
 
     def v(self, x):
         """Return (v, v') at x (scalar or array)."""
@@ -315,58 +275,11 @@ class AblowitzSegurSolution:
         return v, vp
 
 
-_solution_cache: dict = {}
-_tuned_cache: dict = {}
-
-
-def get_solution(p: ASParams, x_left: float = DEFAULT_X_LEFT,
-                 x_match: float = DEFAULT_X_MATCH,
-                 tol: float = DEFAULT_TOL) -> AblowitzSegurSolution:
-    """Cached piecewise evaluator (solves are expensive, grids immutable)."""
-    key = (p.alpha, p.k, float(x_left), float(x_match), float(tol))
-    if key not in _solution_cache:
-        _solution_cache[key] = AblowitzSegurSolution(p, x_left, x_match, tol)
-    return _solution_cache[key]
-
-
-def evaluate_v(p: ASParams, x, x_left: float = DEFAULT_X_LEFT,
-               x_match: float = DEFAULT_X_MATCH, tol: float = DEFAULT_TOL):
-    """Convenience wrapper: (v, v') at x through a cached evaluator."""
-    return get_solution(p, x_left, x_match, tol).v(x)
-
-
-def tuned_solution(p: ASParams, seam_target: float = 9e-4,
-                   max_depth: float = 7680.0,
-                   x_match: float = DEFAULT_X_MATCH) -> AblowitzSegurSolution:
-    """Evaluator with the launch depth escalated until the seam jump at
-    x_match drops below ``seam_target``.
-
-    The seam has a floor set by the decaying model at x_match (its omitted
-    x^{-7} term and the exponentially small decaying mode, ~1e-3 at x = 4),
-    which the higher-order launch data reach from depth 300 or 600 for the
-    acceptance pairs; the depth is doubled until the seam meets the target
-    or stops shrinking.  Results are cached per parameter pair.
-    """
-    key = (p.alpha, p.k, seam_target, max_depth, x_match)
-    if key in _tuned_cache:
-        return _tuned_cache[key]
-    if p.degenerate:
-        sol = AblowitzSegurSolution(p, x_match=x_match)
-        _tuned_cache[key] = sol
-        return sol
-    depth = 300.0
-    sol = AblowitzSegurSolution(p, x_match=x_match, launch_depth=depth)
-    while sol.seam_jump > seam_target and depth < max_depth:
-        depth = min(2.0 * depth, max_depth)
-        deeper = AblowitzSegurSolution(p, x_match=x_match, launch_depth=depth)
-        stalled = deeper.seam_jump > 0.85 * sol.seam_jump
-        sol = deeper
-        if stalled:
-            # seam has hit the physical floor (exponentially small right-tail
-            # gap plus decaying-model truncation); deeper launches cannot help
-            break
-    _tuned_cache[key] = sol
-    return sol
+@lru_cache(maxsize=32)
+def tuned_solution(p: ASParams) -> AblowitzSegurSolution:
+    """The evaluator for p, cached per parameter pair (bounded, least
+    recently used first out): solves take seconds and grids are immutable."""
+    return AblowitzSegurSolution(p)
 
 
 def dense_residual(grid: SolutionGrid, xs, alpha: float,

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (BranchCutError, DegenerateParamsError, DomainError,
                      QuadratureError, SectorBoundaryError)
-from .specfun import log_gamma, pcf_d
-from .stokes import (ASParams, connection_constants, rh_constants,
+from .specfun import pcf_d
+from .stokes import (ASParams, connection_constants, h_factors, rh_constants,
                      stokes_triple)
 
 __all__ = [
@@ -211,15 +211,6 @@ def _chain_arg(w: complex) -> float:
     return a + 2.0 * math.pi if a < -0.25 * math.pi else a
 
 
-def _h_factors(nu: complex) -> tuple[complex, complex]:
-    h0 = -1j * math.sqrt(2.0 * math.pi) * cmath.exp(-log_gamma(nu + 1.0))
-    if nu.imag == 0.0 and nu.real >= 0.0 and nu.real == int(nu.real):
-        h1 = 0.0 + 0.0j  # 1/Gamma(-nu) vanishes
-    else:
-        h1 = math.sqrt(2.0 * math.pi) * cmath.exp(1j * math.pi * nu - log_gamma(-nu))
-    return h0, h1
-
-
 def _z_sector(w: complex) -> int:
     arg = _chain_arg(w)
     for ray in _SECTOR_RAYS:
@@ -249,7 +240,7 @@ def _z_base(nu: complex, w: complex) -> np.ndarray:
 
 def _z_product(nu: complex, w: complex, sector: int) -> np.ndarray:
     # recurrence form: safe only while no exponential scale separation
-    h0, h1 = _h_factors(nu)
+    h0, h1 = h_factors(nu)
     connections = (
         np.array([[1.0, 0.0], [h0, 1.0]], dtype=complex),
         np.array([[1.0, h1], [0.0, 1.0]], dtype=complex),

@@ -22,6 +22,7 @@ __all__ = [
     "stokes_triple",
     "connection_constants",
     "rh_constants",
+    "h_factors",
     "reduce_angle",
 ]
 
@@ -126,18 +127,25 @@ def connection_constants(p: ASParams) -> ConnectionConstants:
     return ConnectionConstants(d, reduce_angle(phi))
 
 
-def rh_constants(p: ASParams) -> RHConstants:
-    """nu, h0, h1 for the parametrix bookkeeping.
-
-    nu is purely imaginary (= -i d^2/2); h0 = -i sqrt(2 pi)/Gamma(nu+1) and
-    h1 = sqrt(2 pi) e^{i pi nu}/Gamma(-nu), with h1 = 0 at the degenerate
-    point where 1/Gamma(-nu) has its removable zero.
-    """
-    d2 = -math.log(_log_residue_argument(p)) / math.pi
-    nu = complex(0.0, -0.5 * d2)
+def h_factors(nu: complex) -> tuple[complex, complex]:
+    """Triangular-factor constants h0 = -i sqrt(2 pi)/Gamma(nu+1) and
+    h1 = sqrt(2 pi) e^{i pi nu}/Gamma(-nu) of the parabolic-cylinder
+    parametrix, with h1 = 0 where 1/Gamma(-nu) has its zeros
+    (nu = 0, 1, 2, ...)."""
     h0 = -1j * math.sqrt(_TAU) * cmath.exp(-log_gamma(nu + 1.0))
-    if nu == 0:
+    if nu.imag == 0.0 and nu.real >= 0.0 and nu.real == int(nu.real):
         h1 = 0.0 + 0.0j
     else:
         h1 = math.sqrt(_TAU) * cmath.exp(1j * math.pi * nu - log_gamma(-nu))
-    return RHConstants(nu, h0, h1)
+    return h0, h1
+
+
+def rh_constants(p: ASParams) -> RHConstants:
+    """nu, h0, h1 for the parametrix bookkeeping.
+
+    nu is purely imaginary (= -i d^2/2); h0, h1 are ``h_factors(nu)``, with
+    h1 = 0 at the degenerate point nu = 0.
+    """
+    d2 = -math.log(_log_residue_argument(p)) / math.pi
+    nu = complex(0.0, -0.5 * d2)
+    return RHConstants(nu, *h_factors(nu))

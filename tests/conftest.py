@@ -6,11 +6,11 @@ from painleve_mkdv.stokes import make_params
 
 @pytest.fixture(scope="session")
 def sol_0_05():
-    """Depth-tuned evaluator for (alpha, k) = (0, 0.5); shared, expensive."""
+    """Profile evaluator for (alpha, k) = (0, 0.5); shared, expensive."""
     return tuned_solution(make_params(0.0, 0.5))
 
 
 @pytest.fixture(scope="session")
 def sol_025_03():
-    """Depth-tuned evaluator for (alpha, k) = (0.25, 0.3)."""
+    """Profile evaluator for (alpha, k) = (0.25, 0.3)."""
     return tuned_solution(make_params(0.25, 0.3))

@@ -10,8 +10,8 @@ launch data accurate well beyond the leading oscillatory model: the left
 launch seeds from the expansion through s^{-13/4} (``v_neg_launch``), whose
 data error at x = -60 is ~1e-6 or less.  The remaining seam, ~3e-4 to
 ~1.1e-3, is the truncation floor of the decaying model at x = 4 (see the
-README's "Accuracy model"); the tuned-evaluator checks below reach the same
-floor from deeper launches.
+README's "Accuracy model"); the `01b` checks find the same floor in the
+production evaluator, whose single launch starts at x = -240.
 """
 
 import cmath
@@ -21,7 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from painleve_mkdv.asymptotics import loglog_slope, v_neg_asym, v_pos_asym
+from painleve_mkdv.asymptotics import (loglog_slope, remainder_envelope,
+                                       v_pos_asym)
 from painleve_mkdv.integrals import (TailPolicy, pv_total_integral,
                                      total_integral_formula, v_hat)
 from painleve_mkdv.mkdv import (InitialDataCoefficients, SelfSimilarField,
@@ -85,9 +86,9 @@ def test_01_runtime_budget(round_trip_runs):
 
 @pytest.mark.parametrize("pair", PAIRS)
 def test_01b_round_trip_depth_adapted(pair):
-    # the same round trip with the launch depth adapted to d: this passes,
-    # demonstrating that the connection formulas do parameterize the solution
-    # that decays on the right
+    # the same round trip through the production evaluator (one launch from
+    # x = -240): the connection formulas parameterize the solution that
+    # decays on the right
     sol = tuned_solution(make_params(*pair))
     _report(f"01b tuned round trip {pair}", sol.seam_jump, 5e-3,
             f"depth={-sol.grid.launch_point:.0f}")
@@ -110,24 +111,9 @@ def test_02_right_launch_cross_validation():
 
 # -- 3: remainder-order improvement -------------------------------------------
 
-def _envelope_slope(sol, p, subtract_alpha, s_lo=20.0, s_hi=200.0):
-    c = sol.connection
-    blocks = []
-    s = s_lo
-    while s < s_hi:
-        width = 2.0 * math.pi / math.sqrt(s)
-        xs = np.linspace(-min(s + width, s_hi), -s, 50)
-        v = sol.v(xs)[0]
-        model = v_neg_asym(xs, p, c, include_alpha_term=subtract_alpha)[0]
-        blocks.append((s + 0.5 * width, float(np.max(np.abs(v - model)))))
-        s += width
-    return loglog_slope(blocks)
-
-
 def test_03_remainder_orders(sol_025_03):
-    p = sol_025_03.params
-    full = _envelope_slope(sol_025_03, p, True)
-    osc_only = _envelope_slope(sol_025_03, p, False)
+    full = loglog_slope(remainder_envelope(sol_025_03, True))
+    osc_only = loglog_slope(remainder_envelope(sol_025_03, False))
     _report("03 slope with alpha/x removed", full, -1.6, "(<= -1.6 passes)")
     _report("03 slope with alpha/x kept", abs(osc_only + 1.0), 0.15)
     assert full <= -1.6
@@ -167,7 +153,7 @@ def test_04_antisymmetry_in_k():
 def test_05_v_hat_limit(sol_025_03, xi):
     p = sol_025_03.params
     got = v_hat(p, xi, solution=sol_025_03)
-    want = complex(C_025_03, -math.copysign(math.pi * p.alpha, xi))
+    want = complex(C_025_03, -math.pi * p.alpha * math.copysign(1.0, xi))
     err = abs(got - want)
     _report(f"05 v_hat({xi:+.0e})", err, 1e-2)
     assert err < 1e-2

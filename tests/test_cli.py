@@ -99,3 +99,10 @@ def test_check_failure_exit_code(tmp_path):
     assert code == EXIT_CHECK_FAILED
     rec = json.loads(report.read_text().splitlines()[0])
     assert not rec["pass"]
+
+
+@pytest.mark.parametrize("argv", [["fourier-limit", "--a", "1", "--b", "0.5"],
+                                  ["all", "--alpha", "-0.3", "--k", "-0.4"]])
+def test_transform_limits_keep_signs(tmp_path, argv):
+    # the expected v_hat and u_hat limits carry the signs of alpha and b
+    assert main(argv + ["--out", str(tmp_path / "rep.jsonl")]) == EXIT_OK

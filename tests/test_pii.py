@@ -7,9 +7,10 @@ import pytest
 
 from painleve_mkdv.asymptotics import v_neg_asym
 from painleve_mkdv.errors import (BlowupError, DomainError, GridRangeError)
-from painleve_mkdv.pii import (dense_residual, evaluate_v, fit_oscillation,
-                               pii_rhs, solve_left_launch,
-                               solve_right_launch_homogeneous, _integrate)
+from painleve_mkdv.pii import (dense_residual, fit_oscillation, pii_rhs,
+                               solve_left_launch,
+                               solve_right_launch_homogeneous, tuned_solution,
+                               _integrate)
 from painleve_mkdv.stokes import connection_constants, make_params
 
 
@@ -24,7 +25,7 @@ def test_degenerate_zero_grid():
     xs = np.linspace(-40.0, 4.0, 10)
     v, vp = g.evaluate(xs)
     assert np.all(v == 0.0) and np.all(vp == 0.0)
-    assert evaluate_v(make_params(0.0, 0.0), 1.2345) == (0.0, 0.0)
+    assert tuned_solution(make_params(0.0, 0.0)).v(1.2345) == (0.0, 0.0)
 
 
 def test_launch_domain_validation():
@@ -166,6 +167,12 @@ def test_evaluator_dispatch(sol_025_03):
 def test_tuned_seam_meets_contract(sol_0_05, sol_025_03):
     assert sol_0_05.seam_jump < 5e-3
     assert sol_025_03.seam_jump < 5e-3
+
+
+def test_seam_at_large_d():
+    # d ~ 1.51, beyond the acceptance pairs: the seam at x = 4 stays at the
+    # decaying-model floor
+    assert tuned_solution(make_params(0.0, 0.9996)).seam_jump < 5e-3
 
 
 def test_grid_range_error(sol_025_03):
