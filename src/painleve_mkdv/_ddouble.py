@@ -1,11 +1,10 @@
 """Compensated double-double arithmetic for series summation.
 
-Plain float64 summation of the Airy Maclaurin series loses ~exp((4/3)|x|^{3/2})
-of relative accuracy to cancellation, which breaks the 1e-12 target well before
-the asymptotic expansion becomes usable.  Summing in double-double (~31
-significant digits) closes that gap.  Only the handful of operations the
-series loop needs are provided; numbers are (hi, lo) float pairs with
-|lo| <= ulp(hi)/2.
+The Kummer series behind ``specfun.pcf_d`` loses ~e^{|Im w|} of relative
+accuracy to cancellation once its argument oscillates hard; summing it in
+complex double-double (~31 significant digits) keeps the 1e-11 target.  Only
+the handful of operations that series loop needs are provided; numbers are
+(hi, lo) float pairs with |lo| <= ulp(hi)/2.
 """
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -50,14 +49,6 @@ def dd_mul_d(xh, xl, b):
     ph, pl = two_prod(xh, b)
     pl += xl * b
     return quick_two_sum(ph, pl)
-
-
-def dd_div_d(xh, xl, b):
-    q1 = xh / b
-    ph, pl = two_prod(q1, b)
-    rh, rl = dd_add(xh, xl, -ph, -pl)
-    q2 = (rh + rl) / b
-    return quick_two_sum(q1, q2)
 
 
 def dd_div(xh, xl, yh, yl):

@@ -28,7 +28,7 @@ from .integrals import TailPolicy, pv_total_integral, total_integral_formula, v_
 from .mkdv import (InitialDataCoefficients, SelfSimilarField, ab_to_params,
                    pde_residual_closure, pde_residual_fd, u_hat)
 from .pii import solve_right_launch_homogeneous, fit_oscillation, tuned_solution
-from .rh_verify import (ContourCircle, m_pred, n_matrix, residue_check_origin,
+from .rh_verify import (ContourCircle, parametrix_decay, residue_check_origin,
                         stationary_identity, t_left_parametrix,
                         t_right_parametrix, SIGMA2)
 from .specfun import airy_ai, log_gamma, pcf_d
@@ -268,15 +268,7 @@ def _suite_rh(opts) -> list[CheckReport]:
                             - SIGMA2 @ t_right_parametrix(p, 50.0, z) @ SIGMA2))
         out.append(_check("rh.sigma2_symmetry", float(sym), 0.0, 1e-14, t0))
         t0 = time.perf_counter()
-        zs = [0.5 + 0.15 * cmath.exp(1j * (0.0371 + 2.0 * math.pi * j / 16.0))
-              for j in range(16)]
-        pts = []
-        for t_val in np.geomspace(10.0, 1000.0, 13):
-            nrm = max(np.linalg.norm(
-                t_right_parametrix(p, t_val, z) @ np.linalg.inv(n_matrix(z, rc.nu))
-                - m_pred(p, t_val, z, "right")) for z in zs)
-            pts.append((t_val, nrm))
-        slope = loglog_slope(pts)
+        slope = loglog_slope(parametrix_decay(p, rc.nu))
         out.append(_check("rh.parametrix_decay_slope", min(slope, -1.4), slope, 0.0, t0))
     return out
 

@@ -38,17 +38,14 @@ H_TAIL_COEFF = 0.1
 
 @dataclass(frozen=True)
 class TailPolicy:
-    """Cutoff X >= 20 for the quadrature core and the number of integration-
-    by-parts levels (1 or 2) applied to the oscillatory tail."""
+    """Cutoff X >= 20 for the quadrature core; the oscillatory tail beyond
+    it takes two integration-by-parts levels."""
 
     cutoff: float = 60.0
-    ibp_levels: int = 2
 
     def __post_init__(self):
         if not self.cutoff >= 20.0:
             raise DomainError("tail cutoff must be >= 20")
-        if self.ibp_levels not in (1, 2):
-            raise DomainError("ibp_levels must be 1 or 2")
 
 
 def total_integral_formula(p: ASParams) -> float:
@@ -105,9 +102,10 @@ def _q_factor(c: ConnectionConstants, s: float) -> float:
     return (0.25 * s ** -0.75 * dpsi + s ** 0.25 * ddpsi) / (math.sqrt(s) * dpsi * dpsi)
 
 
-def _osc_tail(c: ConnectionConstants, x_cut: float, xi: float,
-              levels: int) -> tuple[complex, float]:
-    """int_{X}^{inf} d s^{-1/4} cos(PsiTilde(s)) e^{i xi s} ds by parts.
+def _osc_tail(c: ConnectionConstants, x_cut: float,
+              xi: float) -> tuple[complex, float]:
+    """int_{X}^{inf} d s^{-1/4} cos(PsiTilde(s)) e^{i xi s} ds by parts,
+    two levels.
 
     Returns (value, magnitude estimate of the first omitted terms).  With
     xi = 0 this is the left tail of the principal-value integral.
@@ -118,9 +116,6 @@ def _osc_tail(c: ConnectionConstants, x_cut: float, xi: float,
     kernel = complex(math.cos(xi * s), math.sin(xi * s))
     q = _q_factor(c, s)
     b1 = -d * kernel * math.sin(psi) / (s ** 0.25 * dpsi)
-    if levels == 1:
-        est = abs(d * q / dpsi) + abs(d * xi) * s ** -0.25 / dpsi ** 2
-        return b1, est
     b2 = d * kernel * q * math.cos(psi) / dpsi
     b3 = -d * 1j * xi * kernel * math.cos(psi) / (s ** 0.25 * dpsi * dpsi)
     # next-level magnitudes: differentiate the level-2 kernels once more
@@ -147,7 +142,7 @@ def pv_total_integral(p: ASParams, policy: TailPolicy | None = None,
     x_cut = policy.cutoff
     core = _core_quadrature(sol, -x_cut, x_cut, 0.0)
     right_tail = (2.0 / 3.0) * p.alpha * (1.0 - p.alpha ** 2) * x_cut ** -3
-    left_tail, est = _osc_tail(sol.connection, x_cut, 0.0, policy.ibp_levels)
+    left_tail, est = _osc_tail(sol.connection, x_cut, 0.0)
     d = sol.connection.d
     est += H_TAIL_COEFF * d ** 3 * x_cut ** -0.75
     if est > tol:
@@ -178,7 +173,7 @@ def v_hat(p: ASParams, xi: float, policy: TailPolicy | None = None,
     si_val = float(sici(abs(xi) * x_cut)[0])
     f_tail = -2j * p.alpha * math.copysign(1.0, xi) * (0.5 * math.pi - si_val)
     # left oscillatory tail: x = -s turns e^{-i xi x} into e^{+i xi s}
-    g_tail, est = _osc_tail(sol.connection, x_cut, xi, policy.ibp_levels)
+    g_tail, est = _osc_tail(sol.connection, x_cut, xi)
     d = sol.connection.d
     est += H_TAIL_COEFF * d ** 3 * x_cut ** -0.75
     est += (2.0 / 3.0) * abs(p.alpha) * x_cut ** -3

@@ -49,6 +49,9 @@ DEFAULT_TOL = 1.0e-10
 DEFAULT_X_LEFT = -60.0
 DEFAULT_X_MATCH = 4.0
 
+_FIT_MAX_NFEV = 200  # least-squares evaluation budget of fit_oscillation
+_FD_STEP = 1e-6  # central-difference step of dense_residual
+
 
 def pii_rhs(x: float, v: float, alpha: float) -> float:
     """Right-hand side of the second-order equation: v'' = x v + 2 v^3 - alpha."""
@@ -184,7 +187,7 @@ def solve_right_launch_homogeneous(k: float, x_start: float = 12.0,
 
 
 def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
-                    alpha: float, max_iter: int = 200) -> tuple[float, float]:
+                    alpha: float) -> tuple[float, float]:
     """Recover (d, phi) by least squares against the oscillatory tail model.
 
     The window must lie on the negative axis, be covered by the grid, and
@@ -221,7 +224,7 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
             best_phi, best_cost = phi_try, cost
     res = least_squares(model_resid, (d0, best_phi),
                         bounds=((0.0, -2.0 * math.pi), (np.inf, 2.0 * math.pi)),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_iter)
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=_FIT_MAX_NFEV)
     if not res.success or not np.all(np.isfinite(res.x)):
         raise FitConvergenceError(f"oscillation fit did not converge: {res.message}")
     d_fit, phi_fit = res.x
@@ -282,15 +285,14 @@ def tuned_solution(p: ASParams) -> AblowitzSegurSolution:
     return AblowitzSegurSolution(p)
 
 
-def dense_residual(grid: SolutionGrid, xs, alpha: float,
-                   fd_step: float = 1e-6) -> float:
+def dense_residual(grid: SolutionGrid, xs, alpha: float) -> float:
     """Max |d(v')/dx - (x v + 2 v^3 - alpha)| over xs, differentiating the
     dense-output interpolant."""
     xs = np.asarray(xs, dtype=float)
     if grid._dense is None:
         return 0.0
     v, _ = grid.evaluate(xs)
-    vp_plus = grid.evaluate(xs + fd_step)[1]
-    vp_minus = grid.evaluate(xs - fd_step)[1]
-    implied = (vp_plus - vp_minus) / (2.0 * fd_step)
+    vp_plus = grid.evaluate(xs + _FD_STEP)[1]
+    vp_minus = grid.evaluate(xs - _FD_STEP)[1]
+    implied = (vp_plus - vp_minus) / (2.0 * _FD_STEP)
     return float(np.max(np.abs(implied - (xs * v + 2.0 * v ** 3 - alpha))))

@@ -1,22 +1,20 @@
-"""Self-contained special-function kernels: Airy Ai, complex log-Gamma, and
-parabolic cylinder functions D_nu(z).
+"""Special-function kernels: Airy Ai, complex log-Gamma, and parabolic
+cylinder functions D_nu(z).
 
-All three are built from classical series / asymptotic expansions rather than
-wrapped from a library, because downstream verification needs them at complex
-parameter values (purely imaginary order for D_nu) and at accuracies that are
-pinned by tests against an independent high-precision oracle.
+Downstream verification needs these at complex parameter values (purely
+imaginary order for D_nu) and at accuracies pinned by tests against an
+independent high-precision oracle.
 
 Numerical layout:
 
-* ``airy_ai`` sums the Maclaurin pair in double-double arithmetic up to
-  |x| = 9 (plain float64 loses the 1e-12 target to cancellation beyond
-  |x| ~ 3) and switches to the Poincare expansions beyond, where their
-  optimal-truncation error is ~1e-15.
-* ``log_gamma`` is the principal branch, computed by the recurrence shift
-  into Re z >= 10 followed by the Stirling series.
-* ``pcf_d`` uses the even/odd Kummer series (double-double summation once
-  the argument oscillates hard) below |z| = 7.6 and the large-z expansion
-  (plus the reflection connection into the left sectors) beyond.  The series
+* ``airy_ai`` and ``log_gamma`` wrap ``scipy.special.airy`` and
+  ``scipy.special.loggamma``, which meet the pinned accuracy (worst error on
+  [-30, 30] against a 40-digit oracle: 2.2e-14 for Airy); the wrappers only
+  fix this package's input checks and branch convention.
+* ``pcf_d`` is built here, since scipy has no complex-order D_nu.  It uses the
+  even/odd Kummer series (double-double summation once the argument
+  oscillates hard) below |z| = 7.6 and the large-z expansion (plus the
+  reflection connection into the left sectors) beyond.  The series
   prefactors are only double precision, so near the real axis, where D_nu is
   recessive and the even/odd split cancels by e^{Re z^2/2}, the mid range is
   instead bridged by Taylor transport of the Weber ODE
@@ -29,161 +27,43 @@ from __future__ import annotations
 import cmath
 import math
 
+from scipy.special import airy, loggamma
+
 from ._ddouble import (cdd_add, cdd_div_cdd, cdd_mul_cd, cdd_mul_cdd,
-                       cdd_mul_d, dd_add, dd_div_d, dd_mul, dd_mul_d,
-                       two_prod, two_sum)
+                       cdd_mul_d, dd_mul_d, two_prod, two_sum)
 from .errors import PoleError, SpecFunRangeError
 
 __all__ = ["airy_ai", "log_gamma", "pcf_d"]
 
 _SQRT_PI = math.sqrt(math.pi)
-_LN_2PI_HALF = 0.5 * math.log(2.0 * math.pi)
-
-# Ai(0) = 3^{-2/3}/Gamma(2/3) and -Ai'(0) = 3^{-1/3}/Gamma(1/3), split to
-# double-double precision.
-_AI0 = (0.35502805388781722, 2.0523363243621199e-17)
-_AIP0 = (0.25881940379280682, -2.5222431116108321e-17)
-
-_AIRY_SEAM = 9.0
-
-
-def _airy_series_dd(x: float) -> tuple[float, float]:
-    """Maclaurin sums for Ai and Ai' in compensated arithmetic, |x| <= 9."""
-    if x == 0.0:
-        return _AI0[0] + _AI0[1], -(_AIP0[0] + _AIP0[1])
-    x3h, x3l = dd_mul_d(*two_prod(x, x), x)
-    f = (1.0, 0.0)
-    g = (x, 0.0)
-    fp = (0.0, 0.0)
-    gp = (1.0, 0.0)
-    term_f = (1.0, 0.0)
-    term_g = (x, 0.0)
-    for k in range(1, 260):
-        term_f = dd_div_d(*dd_mul(*term_f, x3h, x3l), (3.0 * k - 1.0) * (3.0 * k))
-        term_g = dd_div_d(*dd_mul(*term_g, x3h, x3l), (3.0 * k) * (3.0 * k + 1.0))
-        f = dd_add(*f, *term_f)
-        g = dd_add(*g, *term_g)
-        fp = dd_add(*fp, *dd_div_d(*dd_mul_d(*term_f, 3.0 * k), x))
-        gp = dd_add(*gp, *dd_div_d(*dd_mul_d(*term_g, 3.0 * k + 1.0), x))
-        if abs(term_f[0]) < 1e-40 and abs(term_g[0]) < 1e-40:
-            break
-    ai = dd_add(*dd_mul(*_AI0, *f), *dd_mul_d(*dd_mul(*_AIP0, *g), -1.0))
-    aip = dd_add(*dd_mul(*_AI0, *fp), *dd_mul_d(*dd_mul(*_AIP0, *gp), -1.0))
-    return ai[0] + ai[1], aip[0] + aip[1]
-
-
-def _airy_coeffs(n: int) -> tuple[list[float], list[float]]:
-    u = [1.0]
-    v = [1.0]
-    for k in range(1, n):
-        u.append(u[-1] * (6.0 * k - 5.0) * (6.0 * k - 3.0) * (6.0 * k - 1.0)
-                 / ((2.0 * k - 1.0) * 216.0 * k))
-        v.append(u[-1] * (6.0 * k + 1.0) / (1.0 - 6.0 * k))
-    return u, v
-
-
-_AIRY_U, _AIRY_V = _airy_coeffs(26)
-
-
-def _asym_sum(coeffs: list[float], inv: float) -> float:
-    # alternating Poincare sum; stop at the smallest term
-    total = 0.0
-    prev = math.inf
-    power = 1.0
-    for k, c in enumerate(coeffs):
-        term = c * power
-        if abs(term) > prev:
-            break
-        total += term if k % 2 == 0 else -term
-        prev = abs(term)
-        power *= inv
-    return total
-
-
-def _airy_asym_pos(x: float) -> tuple[float, float]:
-    zeta = (2.0 / 3.0) * x ** 1.5
-    inv = 1.0 / zeta
-    su = _asym_sum(_AIRY_U, inv)
-    sv = _asym_sum(_AIRY_V, inv)
-    pre = math.exp(-zeta) / (2.0 * _SQRT_PI)
-    return pre * su / x ** 0.25, -pre * sv * x ** 0.25
-
-
-def _airy_asym_neg(x: float) -> tuple[float, float]:
-    s = -x
-    zeta = (2.0 / 3.0) * s ** 1.5
-    w = zeta - 0.25 * math.pi
-    inv2 = 1.0 / (zeta * zeta)
-    pu_even = _asym_sum(_AIRY_U[0::2], inv2)
-    pu_odd = _asym_sum(_AIRY_U[1::2], inv2) / zeta
-    pv_even = _asym_sum(_AIRY_V[0::2], inv2)
-    pv_odd = _asym_sum(_AIRY_V[1::2], inv2) / zeta
-    ai = (math.cos(w) * pu_even + math.sin(w) * pu_odd) / (_SQRT_PI * s ** 0.25)
-    aip = (math.sin(w) * pv_even - math.cos(w) * pv_odd) * s ** 0.25 / _SQRT_PI
-    return ai, aip
 
 
 def airy_ai(x: float) -> tuple[float, float]:
-    """Return (Ai(x), Ai'(x)) for real x, relative accuracy ~1e-13.
-
-    Maclaurin branch on |x| <= 9, Poincare expansions beyond; the two agree
-    to better than 1e-12 at the seam.
-    """
+    """Return (Ai(x), Ai'(x)) for real x, accuracy ~1e-13: relative for
+    x > 0, against the (1+|x|)^{-/+1/4} envelope for x <= 0."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("airy_ai requires finite x")
-    if abs(x) <= _AIRY_SEAM:
-        return _airy_series_dd(x)
-    if x > 0:
-        return _airy_asym_pos(x)
-    return _airy_asym_neg(x)
-
-
-# ---------------------------------------------------------------------------
-# log-Gamma
-# ---------------------------------------------------------------------------
-
-# B_{2j} / (2j (2j-1)) for the Stirling series
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_STIRLING_RE = 10.0
+    ai, aip, _, _ = airy(x)
+    return float(ai), float(aip)
 
 
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z).
 
-    exp(log_gamma(z)) == Gamma(z); the imaginary part is the continuous
-    argument obtained by shifting into Re z >= 10 and applying the Stirling
-    series there.  Raises ``PoleError`` at non-positive integers; real
-    negative (non-integer) arguments get the limit from the upper half-plane.
+    exp(log_gamma(z)) == Gamma(z) and the imaginary part is continuous off
+    the negative real axis.  Raises ``PoleError`` at non-positive integers;
+    real negative (non-integer) arguments get the limit from the upper
+    half-plane, whatever the sign of a zero imaginary part.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("log_gamma requires finite z")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log_gamma pole at z = {z.real:g}")
-    shift = 0.0 + 0.0j
-    w = z
-    while w.real < _STIRLING_RE:
-        shift += cmath.log(w)
-        w += 1.0
-    w2 = 1.0 / (w * w)
-    tail = 0.0 + 0.0j
-    for c in reversed(_STIRLING):
-        tail = (tail + c) * w2
-    tail /= w2  # leading term is c1/w, not c1/w^2
-    tail = tail / w
-    value = (w - 0.5) * cmath.log(w) - w + _LN_2PI_HALF + tail
-    return value - shift
+    if z.imag == 0.0:
+        if z.real <= 0.0 and z.real == int(z.real):
+            raise PoleError(f"log_gamma pole at z = {z.real:g}")
+        z = complex(z.real, 0.0)  # scipy takes the lower side for -0.0j
+    return complex(loggamma(z))
 
 
 def _rgamma(z: complex) -> complex:

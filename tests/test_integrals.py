@@ -1,7 +1,6 @@
 """Principal-value total integral and the transform near xi = 0."""
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +34,6 @@ def test_formula_antisymmetry(ak):
 def test_tail_policy_validation():
     with pytest.raises(DomainError):
         TailPolicy(cutoff=10.0)
-    with pytest.raises(DomainError):
-        TailPolicy(ibp_levels=3)
 
 
 def test_pv_degenerate():
@@ -55,18 +52,6 @@ def test_pv_cutoff_invariance(sol_0_05):
     vals = [pv_total_integral(p, TailPolicy(cutoff=x), solution=sol_0_05)
             for x in (40.0, 60.0, 80.0)]
     assert max(vals) - min(vals) < 2e-3
-
-
-def test_pv_ibp_levels(sol_0_05):
-    p = sol_0_05.params
-    v2 = pv_total_integral(p, TailPolicy(ibp_levels=2), solution=sol_0_05)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v1 = pv_total_integral(p, TailPolicy(ibp_levels=1), solution=sol_0_05)
-    # one level keeps only the first boundary term; the difference is the
-    # second boundary term, O(X^{-9/4}) ~ 1e-4 at X = 60
-    assert abs(v1 - v2) < 1e-3
-    assert abs(v2 - total_integral_formula(p)) < 1e-3
 
 
 def test_v_hat_validation(sol_0_05):

@@ -12,7 +12,7 @@ from painleve_mkdv.asymptotics import loglog_slope
 from painleve_mkdv.errors import (BranchCutError, DegenerateParamsError,
                                   DomainError, SectorBoundaryError)
 from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn, m_pred,
-                                     n_matrix, phase_maps,
+                                     n_matrix, parametrix_decay, phase_maps,
                                      residue_check_origin,
                                      stationary_identity, t_left_parametrix,
                                      t_right_parametrix, z_parametrix)
@@ -23,8 +23,8 @@ P253 = make_params(0.25, 0.3)
 NU05 = rh_constants(P05).nu
 
 
-def _ring_points(n=16, jitter=0.0371, radius=0.15):
-    return [0.5 + radius * cmath.exp(1j * (jitter + 2.0 * math.pi * j / n))
+def _ring_points(n):
+    return [0.5 + 0.15 * cmath.exp(1j * (0.0371 + 2.0 * math.pi * j / n))
             for j in range(n)]
 
 
@@ -267,14 +267,7 @@ def test_m_pred_left_right_mirror():
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
 def test_parametrix_decay(pair):
     p = make_params(*pair)
-    nu = rh_constants(p).nu
-    zs = _ring_points()
-    pts = []
-    for t in np.geomspace(10.0, 1000.0, 13):
-        nrm = max(np.linalg.norm(
-            t_right_parametrix(p, t, z) @ np.linalg.inv(n_matrix(z, nu))
-            - m_pred(p, t, z, "right")) for z in zs)
-        pts.append((t, nrm))
+    pts = parametrix_decay(p, rh_constants(p).nu)
     assert loglog_slope(pts) <= -1.4
     at_100 = [n for (t, n) in pts if abs(t - 100.0) < 25.0][0]
     assert at_100 < 1e-2

@@ -2,19 +2,21 @@
 
 Reference values were computed once with mpmath at 30 significant digits
 (power series / reflection identities / numerical differentiation) and are
-frozen below; the implementation under test never touches mpmath.
+frozen below; the Airy sweep also calls mpmath live, at 40 digits.  The
+implementation under test never touches mpmath.
 """
 
 import cmath
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import PoleError, SpecFunRangeError
-from painleve_mkdv.specfun import (_airy_asym_neg, _airy_asym_pos,
-                                   _airy_series_dd, airy_ai, log_gamma, pcf_d)
+from painleve_mkdv.specfun import airy_ai, log_gamma, pcf_d
 
 # (x, Ai(x), Ai'(x)) at 17 significant digits
 AIRY_TABLE = [
@@ -37,15 +39,20 @@ def test_airy_reference_values(x, ai_ref, aip_ref):
     assert abs(aip - aip_ref) <= 1e-12 * abs(aip_ref)
 
 
-def test_airy_seam_agreement():
-    # Maclaurin and asymptotic branches at the switchover, both sides of 0
-    s_pos = _airy_series_dd(9.0)
-    a_pos = _airy_asym_pos(9.0)
-    s_neg = _airy_series_dd(-9.0)
-    a_neg = _airy_asym_neg(-9.0)
-    for s, a in ((s_pos, a_pos), (s_neg, a_neg)):
-        assert abs(s[0] - a[0]) <= 1e-12 * abs(s[0])
-        assert abs(s[1] - a[1]) <= 1e-12 * abs(s[1])
+def test_airy_matches_oracle():
+    # relative on x > 0; against the (1+|x|)^{-/+1/4} envelope on x <= 0,
+    # where Ai and Ai' oscillate through zeros
+    with mp.workdps(40):
+        for x in np.linspace(-30.0, 30.0, 601):
+            ai, aip = airy_ai(x)
+            ref = float(mp.airyai(x))
+            refp = float(mp.airyai(x, derivative=1))
+            if x > 0.0:
+                scale, scale_p = abs(ref), abs(refp)
+            else:
+                scale, scale_p = (1.0 + abs(x)) ** -0.25, (1.0 + abs(x)) ** 0.25
+            assert abs(ai - ref) <= 1e-12 * scale
+            assert abs(aip - refp) <= 1e-12 * scale_p
 
 
 def test_airy_asymptotic_envelope():
@@ -60,6 +67,11 @@ def test_airy_rejects_nan():
         airy_ai(float("nan"))
 
 
+def test_log_gamma_rejects_nan():
+    with pytest.raises(ValueError):
+        log_gamma(complex("nan"))
+
+
 # log-Gamma ------------------------------------------------------------------
 
 LOGGAMMA_TABLE = [
@@ -70,6 +82,7 @@ LOGGAMMA_TABLE = [
     (-17.5 + 2.0j, -39.277772095541729 - 50.763570243203530j),
     (0.0 + 20.0j, -31.994854139470255 + 39.125080293545000j),
     (-2.5 + 0.0j, -0.056243716497674051 - 9.4247779607693797j),
+    (complex(-2.5, -0.0), -0.056243716497674051 - 9.4247779607693797j),
 ]
 
 
