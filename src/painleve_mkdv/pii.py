@@ -9,6 +9,17 @@ high-order embedded Runge-Kutta method with dense output.  A nonlinear
 least-squares fit of the oscillatory tail provides an independent read-back
 of the connection constants (d, phi).
 
+The integrator is DOP853 written out for the 2-state system (v, v') on
+Python floats.  Its tableau is scipy's (``scipy.integrate._ivp.
+dop853_coefficients``) and so is its step control (safety 0.9, step factor
+in [0.2, 10], exponent -1/8, the err5/err3 RMS norm), so it takes the same
+steps as ``solve_ivp(method="DOP853")`` without scipy's per-step numpy
+work on a 2-vector, which took most of the time of a solve.
+The three extra dense stages are formed for all steps in one numpy pass
+after the loop, and the interpolants are scipy's ``Dop853DenseOutput``
+inside a public ``OdeSolution``: dense evaluation stays scipy's tested code
+path, and only the stepping that feeds it is new.
+
 The one evaluator, ``tuned_solution(p)``, is a cached
 ``AblowitzSegurSolution``: a single left launch from x = -240, seeded from
 the oscillatory expansion through s^{-13/4}, with dense output on
@@ -19,11 +30,14 @@ truncation floor of the decaying model there, below 5e-3 for d up to 1.5.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import least_squares
 
 from .asymptotics import v_neg_asym, v_neg_launch, v_pos_asym
@@ -56,18 +70,6 @@ _FD_STEP = 1e-6  # central-difference step of dense_residual
 def pii_rhs(x: float, v: float, alpha: float) -> float:
     """Right-hand side of the second-order equation: v'' = x v + 2 v^3 - alpha."""
     return x * v + 2.0 * v ** 3 - alpha
-
-
-def _system(x, y, alpha):
-    v = y[0]
-    return (y[1], x * v + 2.0 * v * v * v - alpha)
-
-
-def _blowup_event(x, y, alpha):
-    return abs(y[0]) - BLOWUP_THRESHOLD
-
-
-_blowup_event.terminal = True
 
 
 @dataclass
@@ -119,23 +121,142 @@ def _max_step_for(span_edges) -> float:
     return 2.0 * math.pi / (20.0 * math.sqrt(s_max))
 
 
+# scipy's DOP853 tableau as Python floats, zero coefficients dropped, and the
+# constants of its step controller (``scipy.integrate._ivp.rk``)
+_C = [float(c) for c in _dop.C[:_dop.N_STAGES]]
+_A_ROWS = [[(j, float(a)) for j, a in enumerate(row[:s]) if a != 0.0]
+           for s, row in enumerate(_dop.A[:_dop.N_STAGES])]
+_B = [(j, float(b)) for j, b in enumerate(_dop.B) if b != 0.0]
+_E5 = [(j, float(e)) for j, e in enumerate(_dop.E5) if e != 0.0]
+_E3 = [(j, float(e)) for j, e in enumerate(_dop.E3) if e != 0.0]
+_N_KEPT = _dop.N_STAGES + 1  # the main stages plus f at the step end
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
+
+
+def _initial_step(x, v, w, fw, x_end, direction, max_step, alpha, rtol, atol):
+    # Hairer, Norsett & Wanner, Sec. II.4, with the RMS norm over (v, v');
+    # the derivative of (v, v') is (v', fw)
+    sv, sw = atol + abs(v) * rtol, atol + abs(w) * rtol
+    d0 = math.sqrt(((v / sv) ** 2 + (w / sw) ** 2) / 2.0)
+    d1 = math.sqrt(((w / sv) ** 2 + (fw / sw) ** 2) / 2.0)
+    span = abs(x_end - x)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    v1, w1 = v + h0 * direction * w, w + h0 * direction * fw
+    fw1 = pii_rhs(x + h0 * direction, v1, alpha)
+    d2 = math.sqrt((((w1 - w) / sv) ** 2 + ((fw1 - fw) / sw) ** 2) / 2.0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, span, max_step)
+
+
+def _dense_output(xs, ys, stages, alpha):
+    """scipy's DOP853 interpolants for every step, from the kept stages."""
+    t = np.array(xs)
+    y = np.frombuffer(ys).reshape(-1, 2)
+    h = np.diff(t)
+    n = len(h)
+    k = np.frombuffer(stages).reshape(n, 2, _N_KEPT)
+    extra = np.empty((n, 2, _dop.N_STAGES_EXTENDED - _N_KEPT))
+    y_old = y[:-1]
+    for i, s in enumerate(range(_N_KEPT, _dop.N_STAGES_EXTENDED)):
+        a = _dop.A[s]
+        dy = (k @ a[:_N_KEPT] + extra[:, :, :i] @ a[_N_KEPT:s]) * h[:, None]
+        extra[:, 0, i] = y_old[:, 1] + dy[:, 1]
+        extra[:, 1, i] = pii_rhs(t[:-1] + _dop.C[s] * h, y_old[:, 0] + dy[:, 0], alpha)
+    delta = y[1:] - y_old
+    f = np.empty((n, _dop.INTERPOLATOR_POWER, 2))
+    f[:, 0] = delta
+    f[:, 1] = h[:, None] * k[:, :, 0] - delta
+    f[:, 2] = 2.0 * delta - h[:, None] * (k[:, :, _N_KEPT - 1] + k[:, :, 0])
+    f[:, 3:] = h[:, None, None] * (np.einsum("ds,njs->ndj", _dop.D[:, :_N_KEPT], k)
+                                   + np.einsum("ds,njs->ndj", _dop.D[:, _N_KEPT:], extra))
+    return OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y_old[i], f[i])
+                           for i in range(n)])
+
+
 def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
-    sol = solve_ivp(
-        _system, (x_start, x_end), y0,
-        method="DOP853",
-        rtol=tol, atol=tol * 1e-6,
-        dense_output=True,
-        events=_blowup_event,
-        max_step=_max_step_for((x_start, x_end)),
-        args=(alpha,),
-    )
-    if sol.status == 1:
-        raise BlowupError(
-            f"|v| exceeded {BLOWUP_THRESHOLD:g} near x = {sol.t[-1]:.4g}; "
-            "launch data error was amplified (the exact solution is pole-free)")
-    if not sol.success:
-        raise BlowupError(f"integration failed: {sol.message}")
-    return SolutionGrid(sol.t, sol.y.T, float(x_start), launch_side, tol, sol.sol)
+    """DOP853 from x_start to x_end (either direction) with dense output;
+    raises ``BlowupError`` at the first step that ends with |v| above
+    ``BLOWUP_THRESHOLD``."""
+    rtol, atol = tol, tol * 1e-6
+    max_step = _max_step_for((x_start, x_end))
+    direction = 1.0 if x_end > x_start else -1.0
+    x, x_end = float(x_start), float(x_end)
+    v, w = float(y0[0]), float(y0[1])
+    fw = pii_rhs(x, v, alpha)
+    h_abs = _initial_step(x, v, w, fw, x_end, direction, max_step, alpha, rtol, atol)
+    xs, ys, stages = [x], array("d", (v, w)), array("d")
+    while direction * (x - x_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(x, direction * math.inf) - x)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise BlowupError(
+                    f"integration failed near x = {x:.4g}: required step "
+                    "size is less than spacing between numbers")
+            x_new = x + h_abs * direction
+            if direction * (x_new - x_end) > 0.0:
+                x_new = x_end
+            h = x_new - x
+            h_abs = abs(h)
+            kv, kw = [w], [fw]
+            for c, row in zip(_C[1:], _A_ROWS[1:]):
+                dv = dw = 0.0
+                for j, a in row:
+                    dv += a * kv[j]
+                    dw += a * kw[j]
+                kv.append(w + dw * h)
+                kw.append(pii_rhs(x + c * h, v + dv * h, alpha))
+            dv = dw = 0.0
+            for j, b in _B:
+                dv += b * kv[j]
+                dw += b * kw[j]
+            v_new, w_new = v + h * dv, w + h * dw
+            kv.append(w_new)
+            kw.append(pii_rhs(x + h, v_new, alpha))
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            sw = atol + max(abs(w), abs(w_new)) * rtol
+            e5v = e5w = e3v = e3w = 0.0
+            for j, e in _E5:
+                e5v += e * kv[j]
+                e5w += e * kw[j]
+            for j, e in _E3:
+                e3v += e * kv[j]
+                e3w += e * kw[j]
+            err5 = (e5v / sv) ** 2 + (e5w / sw) ** 2
+            err3 = (e3v / sv) ** 2 + (e3w / sw) ** 2
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if abs(v_new) > BLOWUP_THRESHOLD:
+            raise BlowupError(
+                f"|v| exceeded {BLOWUP_THRESHOLD:g} near x = {x_new:.4g}; "
+                "launch data error was amplified (the exact solution is pole-free)")
+        stages.extend(kv)
+        stages.extend(kw)
+        x, v, w, fw = x_new, v_new, w_new, kw[-1]
+        xs.append(x)
+        ys.extend((v, w))
+    dense = _dense_output(xs, ys, stages, alpha)
+    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2),
+                        float(x_start), launch_side, tol, dense)
 
 
 def _zero_grid(x_start, x_end, side, tol):
@@ -295,4 +416,4 @@ def dense_residual(grid: SolutionGrid, xs, alpha: float) -> float:
     vp_plus = grid.evaluate(xs + _FD_STEP)[1]
     vp_minus = grid.evaluate(xs - _FD_STEP)[1]
     implied = (vp_plus - vp_minus) / (2.0 * _FD_STEP)
-    return float(np.max(np.abs(implied - (xs * v + 2.0 * v ** 3 - alpha))))
+    return float(np.max(np.abs(implied - pii_rhs(xs, v, alpha))))

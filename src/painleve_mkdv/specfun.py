@@ -10,7 +10,9 @@ Numerical layout:
 * ``airy_ai`` and ``log_gamma`` wrap ``scipy.special.airy`` and
   ``scipy.special.loggamma``, which meet the pinned accuracy (worst error on
   [-30, 30] against a 40-digit oracle: 2.2e-14 for Airy); the wrappers only
-  fix this package's input checks and branch convention.
+  fix this package's input checks and branch convention.  The reciprocal
+  Gamma factors of ``pcf_d`` come from ``scipy.special.rgamma``, which is
+  exactly zero at the poles.
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  It uses the
   even/odd Kummer series (double-double summation once the argument
   oscillates hard) below |z| = 7.6 and the large-z expansion (plus the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from scipy.special import airy, loggamma
+from scipy.special import airy, loggamma, rgamma
 
 from ._ddouble import (cdd_add, cdd_div_cdd, cdd_mul_cd, cdd_mul_cdd,
                        cdd_mul_d, dd_mul_d, two_prod, two_sum)
@@ -68,10 +70,7 @@ def log_gamma(z: complex) -> complex:
 
 def _rgamma(z: complex) -> complex:
     """1/Gamma(z), zero at the poles of Gamma."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))
+    return complex(rgamma(z))
 
 
 # ---------------------------------------------------------------------------

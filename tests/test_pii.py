@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from painleve_mkdv.asymptotics import v_neg_asym
+from painleve_mkdv.asymptotics import v_neg_asym, v_neg_launch
 from painleve_mkdv.errors import (BlowupError, DomainError, GridRangeError)
 from painleve_mkdv.pii import (dense_residual, fit_oscillation, pii_rhs,
                                solve_left_launch,
                                solve_right_launch_homogeneous, tuned_solution,
-                               _integrate)
+                               _integrate, _max_step_for)
+from painleve_mkdv.specfun import airy_ai
 from painleve_mkdv.stokes import connection_constants, make_params
 
 
@@ -120,6 +122,40 @@ def test_reversal_consistency():
     y_back = back.evaluate(-40.0)
     assert abs(y_back[0] - y0[0]) < 100.0 * 1e-10
     assert abs(y_back[1] - y0[1]) < 100.0 * 1e-10 * 10.0
+
+
+def _scipy_dop853(y0, x_start, x_end, alpha, tol):
+    return solve_ivp(lambda x, y: (y[1], pii_rhs(x, y[0], alpha)), (x_start, x_end),
+                     y0, method="DOP853", rtol=tol, atol=tol * 1e-6,
+                     dense_output=True, max_step=_max_step_for((x_start, x_end)))
+
+
+@pytest.mark.parametrize("launch", ["left", "right"])
+def test_stepper_matches_scipy_dop853(launch):
+    # same tableau and step control as scipy's DOP853: the same steps, and
+    # dense values that differ only by rounding
+    if launch == "left":
+        p = make_params(0.0, 0.5)
+        x0, x1, tol = -240.0, 4.0, 1e-10
+        y0 = v_neg_launch(x0, p, connection_constants(p))
+        grid = solve_left_launch(p, x0, x1, tol)
+    else:
+        x0, x1, tol = 12.0, -60.0, 1e-11
+        y0 = tuple(0.5 * a for a in airy_ai(x0))
+        grid = solve_right_launch_homogeneous(0.5, x0, x1, tol)
+    ref = _scipy_dop853(y0, x0, x1, 0.0, tol)
+    assert len(grid.abscissas) == len(ref.t)
+    xs = np.linspace(min(x0, x1), max(x0, x1), 4001)
+    for pts in (xs, grid.abscissas, np.array([x0, x1])):
+        assert np.max(np.abs(np.array(grid.evaluate(pts)) - ref.sol(pts))) < 1e-10
+
+
+def test_blowup_raises_with_location():
+    # v(0) = 3 blows up well before x = 5; the error names where
+    with pytest.raises(BlowupError) as info:
+        _integrate((3.0, 0.0), 0.0, 5.0, 0.0, 1e-10, "left")
+    x_reached = float(str(info.value).split("near x = ")[1].split(";")[0])
+    assert 0.0 < x_reached < 5.0
 
 
 def test_dense_residual_consistency():
