@@ -18,7 +18,6 @@ through s^{-13/4}; the left ODE launches take their initial data from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import DomainError
 from .stokes import ASParams, ConnectionConstants
 
 __all__ = [
-    "OscillatoryModel",
     "psi_tilde",
     "psi_stationary_threshold",
     "v_neg_asym",
@@ -35,13 +33,6 @@ __all__ = [
     "remainder_envelope",
     "loglog_slope",
 ]
-
-
-@dataclass(frozen=True)
-class OscillatoryModel:
-    d: float
-    phi: float
-    alpha: float
 
 
 def psi_tilde(s, c: ConnectionConstants):

@@ -22,6 +22,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,21 +76,30 @@ class ContourCircle:
             raise DomainError("need at least 64 quadrature nodes")
 
 
-def phase_maps(z: complex) -> tuple[complex, complex, complex]:
+def _with_module(z):
+    """(z, cmath) for a scalar, (z as a complex array, numpy) for an array,
+    so each formula below is written once for both."""
+    if isinstance(z, np.ndarray):
+        return z.astype(complex, copy=False), np
+    return complex(z), cmath
+
+
+def phase_maps(z):
     """theta_tilde = i(4z^3/3 - z), eta = i*theta_tilde = z - 4z^3/3, and
     zeta = (4 sqrt(3)/3) e^{3 pi i/4} (z - 1/2) sqrt(z + 1) (principal root).
 
-    zeta solves zeta^2 = -4(theta_tilde(z) - theta_tilde(1/2)).  Warns when
-    z sits within 1e-9 of the sqrt branch cut (-inf, -1].
+    zeta solves zeta^2 = -4(theta_tilde(z) - theta_tilde(1/2)).  Takes a
+    complex scalar or an array, elementwise.  Warns when z sits within 1e-9
+    of the sqrt branch cut (-inf, -1].
     """
-    z = complex(z)
+    z, xm = _with_module(z)
     theta = 1j * (4.0 * z ** 3 / 3.0 - z)
     eta = z - 4.0 * z ** 3 / 3.0
     w = z + 1.0
-    if abs(w.imag) < 1e-9 and w.real <= 0.0:
+    if np.any((abs(w.imag) < 1e-9) & (w.real <= 0.0)):
         warnings.warn("zeta evaluated within 1e-9 of its branch cut (-inf, -1]",
                       stacklevel=2)
-    zeta = _ZETA_SCALE * cmath.exp(1j * _RING_PHASE) * (z - 0.5) * cmath.sqrt(w)
+    zeta = _ZETA_SCALE * cmath.exp(1j * _RING_PHASE) * (z - 0.5) * xm.sqrt(w)
     return theta, eta, zeta
 
 
@@ -107,23 +117,23 @@ def n_matrix(z: complex, nu: complex) -> np.ndarray:
     return np.array([[power, 0.0], [0.0, 1.0 / power]], dtype=complex)
 
 
-def beta_fn(z: complex, t: float, nu: complex) -> complex:
+def beta_fn(z, t: float, nu: complex):
     """beta(z) = (sqrt(t) zeta(z) (z+1/2)/(z-1/2))^nu near z = +1/2.
 
     The zeta argument is continued over the parametrix sector chain; combined
     with the segment-cut power of the ratio, the z - 1/2 factors cancel and
     the product is single-valued and analytic on the punctured disc about
     +1/2: its base is sqrt(t) (4 sqrt(3)/3) e^{3 pi i/4} sqrt(z+1) (z+1/2).
+    Takes a complex scalar or an array, elementwise.
     """
-    z = complex(z)
+    z, xm = _with_module(z)
     if not t > 0.0:
         raise DomainError("beta_fn requires t > 0")
-    if abs(z + 0.5) < 1e-12 or abs(z + 1.0) < 1e-12:
+    if np.any((abs(z + 0.5) < 1e-12) | (abs(z + 1.0) < 1e-12)):
         raise BranchCutError("beta_fn undefined at the left branch points")
-    log_mag = (0.5 * math.log(t) + math.log(_ZETA_SCALE)
-               + 0.5 * math.log(abs(z + 1.0)) + math.log(abs(z + 0.5)))
-    arg = _RING_PHASE + 0.5 * cmath.phase(z + 1.0) + cmath.phase(z + 0.5)
-    return cmath.exp(nu * (log_mag + 1j * arg))
+    log_base = (0.5 * math.log(t) + math.log(_ZETA_SCALE) + 1j * _RING_PHASE
+                + 0.5 * xm.log(z + 1.0) + xm.log(z + 0.5))
+    return xm.exp(nu * log_base)
 
 
 def _circle_integral(f, circle: ContourCircle, tol: float = 1e-10,
@@ -189,10 +199,10 @@ def stationary_identity(p: ASParams, t: float,
     nu = rc.nu
 
     def f_plus(zs):
-        return np.array([beta_fn(z, t, nu) ** 2 / phase_maps(z)[2] for z in zs])
+        return beta_fn(zs, t, nu) ** 2 / phase_maps(zs)[2]
 
     def f_minus(zs):
-        return np.array([beta_fn(-z, t, nu) ** -2 / phase_maps(-z)[2] for z in zs])
+        return beta_fn(-zs, t, nu) ** -2 / phase_maps(-zs)[2]
 
     i_plus = _circle_integral(f_plus, c_plus)
     i_minus = _circle_integral(f_minus, c_minus)
@@ -267,8 +277,6 @@ _SECTOR_BASIS = {
 _SECTOR_MID = {0: -0.125 * math.pi, 1: 0.25 * math.pi, 2: 0.75 * math.pi,
                3: 1.25 * math.pi, 4: 1.625 * math.pi}
 
-_z_calib_cache: dict = {}
-
 
 def _basis_matrix(nu: complex, w: complex, sector: int) -> np.ndarray:
     # carries the same 2^{-sigma3/2} row scaling as the recurrence form, so
@@ -295,26 +303,30 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
     """
     w = complex(w)
     sector = _z_sector(w)
-    key = (nu.real, nu.imag, sector)
-    if key not in _z_calib_cache:
-        w_cal = 1.5 * cmath.exp(1j * _SECTOR_MID[sector])
-        ref = _z_product(nu, w_cal, sector)
-        base = _basis_matrix(nu, w_cal, sector)
-        coeff = np.linalg.solve(base, ref)
-        # Structural zeros: a column with recessive asymptotics somewhere in
-        # the (closed) sector is a multiple of the unique recessive solution
-        # there, so its coefficient on the other basis function vanishes
-        # identically.  Calibration noise in those entries would be blown up
-        # by e^{|Re w^2|/2} at large |w|, so they are clamped exactly.
-        scale = np.max(np.abs(coeff))
-        if abs(coeff[1, 0]) > 1e-6 * scale or \
-                (sector < 4 and abs(coeff[0, 1]) > 1e-6 * scale):
-            raise QuadratureError("sector calibration lost its structural zeros")
-        coeff[1, 0] = 0.0
-        if sector < 4:
-            coeff[0, 1] = 0.0
-        _z_calib_cache[key] = coeff
-    return _basis_matrix(nu, w, sector) @ _z_calib_cache[key]
+    return _basis_matrix(nu, w, sector) @ _z_calibration(nu, sector)
+
+
+@lru_cache(maxsize=160)  # 32 orders (as many as profiles cached) x 5 sectors
+def _z_calibration(nu: complex, sector: int) -> np.ndarray:
+    """Constant matrix gluing the sector basis to the recurrence form."""
+    w_cal = 1.5 * cmath.exp(1j * _SECTOR_MID[sector])
+    ref = _z_product(nu, w_cal, sector)
+    base = _basis_matrix(nu, w_cal, sector)
+    coeff = np.linalg.solve(base, ref)
+    # Structural zeros: a column with recessive asymptotics somewhere in
+    # the (closed) sector is a multiple of the unique recessive solution
+    # there, so its coefficient on the other basis function vanishes
+    # identically.  Calibration noise in those entries would be blown up
+    # by e^{|Re w^2|/2} at large |w|, so they are clamped exactly.
+    scale = np.max(np.abs(coeff))
+    if abs(coeff[1, 0]) > 1e-6 * scale or \
+            (sector < 4 and abs(coeff[0, 1]) > 1e-6 * scale):
+        raise QuadratureError("sector calibration lost its structural zeros")
+    coeff[1, 0] = 0.0
+    if sector < 4:
+        coeff[0, 1] = 0.0
+    coeff.setflags(write=False)  # shared by every caller through the cache
+    return coeff
 
 
 def _diag_power(a: complex) -> np.ndarray:

@@ -14,8 +14,8 @@ Numerical layout:
   Gamma factors of ``pcf_d`` come from ``scipy.special.rgamma``, which is
   exactly zero at the poles.
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  It uses the
-  even/odd Kummer series (double-double summation once the argument
-  oscillates hard) below |z| = 7.6 and the large-z expansion (plus the
+  even/odd Kummer series (summed in exact integer fixed point once the
+  argument oscillates hard) below |z| = 7.6 and the large-z expansion (plus the
   reflection connection into the left sectors) beyond.  The series
   prefactors are only double precision, so near the real axis, where D_nu is
   recessive and the even/odd split cancels by e^{Re z^2/2}, the mid range is
@@ -31,8 +31,6 @@ import math
 
 from scipy.special import airy, loggamma, rgamma
 
-from ._ddouble import (cdd_add, cdd_div_cdd, cdd_mul_cd, cdd_mul_cdd,
-                       cdd_mul_d, dd_mul_d, two_prod, two_sum)
 from .errors import PoleError, SpecFunRangeError
 
 __all__ = ["airy_ai", "log_gamma", "pcf_d"]
@@ -80,6 +78,8 @@ def _rgamma(z: complex) -> complex:
 _PCF_ASYM_RADIUS = 7.6
 _PCF_CONNECT_ARG = 0.5 * math.pi
 _PCF_MAX_ABS = 50.0
+_FIX_BITS = 120
+_FIX_ONE = 1 << _FIX_BITS
 
 
 def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
@@ -88,7 +88,7 @@ def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
     Arguments with Re w < 0 are routed through M(a,c,w) = e^w M(c-a, c, -w)
     so the summed series never alternates in its dominant scale; a large
     imaginary part still oscillates (cancellation ~ e^{|Im w|}), in which
-    case the sum runs in compensated double-double arithmetic.
+    case the sum runs in exact integer fixed point at 2^-120.
     """
     if w == 0:
         return 1.0 + 0.0j, a / c
@@ -97,7 +97,7 @@ def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
         ew = cmath.exp(w)
         return ew * m, ew * (m - dm)
     if abs(w.imag) > 9.0:
-        return _kummer_dd(a, c, w)
+        return _kummer_fixed(a, c, w)
     term = 1.0 + 0.0j
     total = term
     weighted = 0.0 + 0.0j  # sum of k * term_k
@@ -110,29 +110,38 @@ def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
     return total, weighted / w
 
 
-def _kummer_dd(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
-    # same sum in double-double; the k-shifted factors a+k and (c+k)(k+1)
-    # are formed as exact double-double values (a+k rounded in float64 would
-    # leak ~k*eps per term, which the e^{|Im w|} cancellation then amplifies)
-    term = (1.0, 0.0, 0.0, 0.0)
-    total = term
-    weighted = (0.0, 0.0, 0.0, 0.0)
-    scale = 1.0
+def _kummer_fixed(a: complex, c: float, w: complex) -> tuple[complex, complex]:
+    # Same sum in exact integer fixed point: w, a and the terms are integers
+    # at 2^-120 (scaling a float by a power of two and taking int() is
+    # exact).  c is 1/2 or 3/2, the only values _pcf_series passes, so
+    # 2(c+k)(k+1) is an integer and each term is one complex integer product
+    # and one floor division.  Each division is off by < 2^-120; grown by at
+    # most the largest term (< 2^42 for |z| < 7.6), 600 terms stay < 2^-68,
+    # far below the e^{|Im w|} cancellation the double sum would suffer.
+    wr, wi = int(w.real * _FIX_ONE), int(w.imag * _FIX_ONE)
+    ar, ai = int(a.real * _FIX_ONE), int(a.imag * _FIX_ONE)
+    war, wai = wr * ar - wi * ai, wr * ai + wi * ar  # w a at 2^-240
+    wsr, wsi = wr << _FIX_BITS, wi << _FIX_BITS      # w at 2^-240
+    c2 = int(2.0 * c)
+    tr, ti = _FIX_ONE, 0
+    total_r, total_i = tr, ti
+    weighted_r = weighted_i = 0  # sum of k * term_k
+    scale = _FIX_ONE
     for k in range(0, 600):
-        term = cdd_mul_cd(term, w.real, w.imag)
-        num = two_sum(a.real, float(k)) + (a.imag, 0.0)
-        term = cdd_mul_cdd(term, num)
-        dr = dd_mul_d(*two_sum(c.real, float(k)), k + 1.0)
-        di = two_prod(c.imag, k + 1.0)
-        term = cdd_div_cdd(term, dr + di)
-        total = cdd_add(total, term)
-        weighted = cdd_add(weighted, cdd_mul_d(term, k + 1.0))
-        mag = abs(term[0]) + abs(term[2])
+        # w (a + k) and (c + k)(k + 1), both at 2^-240
+        ur, ui = war + k * wsr, wai + k * wsi
+        den = ((c2 + 2 * k) * (k + 1)) << (2 * _FIX_BITS - 1)
+        tr, ti = (tr * ur - ti * ui) // den, (tr * ui + ti * ur) // den
+        total_r += tr
+        total_i += ti
+        weighted_r += (k + 1) * tr
+        weighted_i += (k + 1) * ti
+        mag = abs(tr) + abs(ti)
         scale = max(scale, mag)
-        if mag < 1e-34 * scale and k > 3:
+        if mag < scale >> 113 and k > 3:  # below 2^-113 of the largest term
             break
-    m = complex(total[0] + total[1], total[2] + total[3])
-    dm = complex(weighted[0] + weighted[1], weighted[2] + weighted[3]) / w
+    m = complex(total_r / _FIX_ONE, total_i / _FIX_ONE)
+    dm = complex(weighted_r / _FIX_ONE, weighted_i / _FIX_ONE) / w
     return m, dm
 
 
@@ -262,7 +271,7 @@ def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
     # where inward ODE transport from the ring is stable instead.  The left
     # near-real wedge (D dominant, transport unstable) reflects into the
     # right wedge and the near-imaginary wedge.  Elsewhere the
-    # (double-double) series is accurate.
+    # (fixed-point) series is accurate.
     if (z * z).real > 6.0:
         if z.real >= 0.0:
             return _pcf_march(nu, z)

@@ -103,6 +103,23 @@ def test_beta_bounded_on_ring():
     assert 0.5 < min(vals) and max(vals) < 2.0
 
 
+def test_beta_and_zeta_take_arrays():
+    # one formula serves both: an array gives the scalar values elementwise,
+    # and a scalar still gives a complex
+    zs = np.array(_ring_points(16))
+    betas = beta_fn(zs, 50.0, NU05)
+    zetas = phase_maps(zs)[2]
+    for z, beta, zeta in zip(zs, betas, zetas):
+        scalar = beta_fn(complex(z), 50.0, NU05)
+        assert type(scalar) is complex
+        assert abs(scalar - beta) < 1e-15 * abs(beta)
+        assert abs(phase_maps(complex(z))[2] - zeta) < 1e-15 * abs(zeta)
+    with pytest.warns(UserWarning):
+        phase_maps(np.array([0.5, -3.0]))
+    with pytest.raises(BranchCutError):
+        beta_fn(np.array([0.6, -0.5]), 50.0, NU05)
+
+
 def test_beta_analytic_across_segment():
     # the combined power is single-valued near the segment crossing
     eps = 1e-9
@@ -193,6 +210,15 @@ def test_z_matches_recurrence_form():
         direct = rv._z_product(NU05, w, rv._z_sector(w))
         stable = z_parametrix(NU05, w)
         assert np.max(np.abs(direct - stable)) < 1e-10
+
+
+def test_z_calibration_cache_is_bounded():
+    # one calibration per (order, sector), for as many orders as profiles
+    # are cached
+    z_parametrix(NU05, 2.0 + 0.5j)
+    info = rv._z_calibration.cache_info()
+    assert info.maxsize == 160
+    assert 1 <= info.currsize <= 160
 
 
 def test_z_sector_boundary_guard():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import PoleError, SpecFunRangeError
-from painleve_mkdv.specfun import airy_ai, log_gamma, pcf_d
+from painleve_mkdv.specfun import _kummer_fixed, airy_ai, log_gamma, pcf_d
 
 # (x, Ai(x), Ai'(x)) at 17 significant digits
 AIRY_TABLE = [
@@ -206,3 +206,51 @@ def test_pcf_range_guard():
         pcf_d(0.3, 60.0)
     with pytest.raises(ValueError):
         pcf_d(complex("nan"), 1.0)
+
+
+# The cancellation band |Im z^2| > 18, Re z^2 <= 6, |z| < 7.6: the even/odd
+# series there sums in exact integer fixed point (``_kummer_fixed``).
+BAND_ORDERS = [-0.0458j, -1 + 0.0458j, -0.5j, -1 + 0.5j, 0.3 + 0.2j]
+
+
+def _band_points(seed, count):
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < count:
+        z = complex(*rng.uniform(-7.6, 7.6, size=2))
+        z2 = z * z
+        if abs(z) < 7.6 and abs(z2.imag) > 18.0 and z2.real <= 6.0:
+            pts.append(z)
+    return pts
+
+
+def test_pcf_cancellation_band_matches_oracle():
+    # D_nu' = (z/2) D_nu - D_{nu+1}
+    with mp.workdps(30):
+        for j, z in enumerate(_band_points(8, 40)):
+            nu = BAND_ORDERS[j % len(BAND_ORDERS)]
+            val, der = pcf_d(nu, z)
+            ref = mp.pcfd(nu, z)
+            refd = complex(0.5 * z * ref - mp.pcfd(nu + 1, z))
+            ref = complex(ref)
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+            assert abs(der - refd) <= 1e-10 * abs(refd)
+
+
+def test_kummer_kernel_matches_hyp1f1():
+    # the kernel's arguments as pcf_d forms them: c = 1/2, 3/2, and Re w >= 0
+    # after the Kummer reflection M(a, c, w) = e^w M(c - a, c, -w)
+    with mp.workdps(40):
+        for j, z in enumerate(_band_points(9, 30)):
+            nu = BAND_ORDERS[j % len(BAND_ORDERS)]
+            w = 0.5 * z * z
+            for a, c in ((-0.5 * nu, 0.5), (0.5 * (1.0 - nu), 1.5)):
+                if w.real < 0.0:
+                    a, w_k = c - a, -w
+                else:
+                    w_k = w
+                m, dm = _kummer_fixed(a, c, w_k)
+                ref = complex(mp.hyp1f1(a, c, w_k))
+                refd = complex(a / c * mp.hyp1f1(a + 1, c + 1, w_k))
+                assert abs(m - ref) <= 1e-14 * abs(ref)
+                assert abs(dm - refd) <= 1e-14 * abs(refd)
