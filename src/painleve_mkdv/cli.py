@@ -268,7 +268,7 @@ def _suite_rh(opts) -> list[CheckReport]:
                             - SIGMA2 @ t_right_parametrix(p, 50.0, z) @ SIGMA2))
         out.append(_check("rh.sigma2_symmetry", float(sym), 0.0, 1e-14, t0))
         t0 = time.perf_counter()
-        slope = loglog_slope(parametrix_decay(p, rc.nu))
+        slope = loglog_slope(parametrix_decay(p))
         out.append(_check("rh.parametrix_decay_slope", min(slope, -1.4), slope, 0.0, t0))
     return out
 

@@ -329,12 +329,10 @@ def _z_calibration(nu: complex, sector: int) -> np.ndarray:
     return coeff
 
 
-def _diag_power(a: complex) -> np.ndarray:
-    return np.array([[a, 0.0], [0.0, 1.0 / a]], dtype=complex)
-
-
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
-    """Local parametrix about z = +1/2 on the annulus 0.05 <= |z-1/2| <= 0.2."""
+    """Local parametrix about z = +1/2 on the annulus 0.05 <= |z-1/2| <= 0.2:
+    T = l^{sigma3} P(w) Z(w) r^{sigma3} with P(w) = [[w, 1], [1, 0]],
+    l = beta e^{it/3} / (a sqrt 2), r = a e^{t theta} and a = sqrt(-h1/s3)."""
     z = complex(z)
     if not 0.05 - 1e-12 <= abs(z - 0.5) <= 0.2 + 1e-12:
         raise DomainError("t_right_parametrix expects 0.05 <= |z - 1/2| <= 0.2")
@@ -347,14 +345,12 @@ def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
     nu = rc.nu
     theta, _, zeta = phase_maps(z)
     w = math.sqrt(t) * zeta
-    beta = beta_fn(z, t, nu)
     a_fac = cmath.sqrt(-rc.h1 / s3)
-    p_mat = np.array([[w, 1.0], [1.0, 0.0]], dtype=complex)
-    out = _diag_power(beta) @ _diag_power(1.0 / a_fac)
-    out = out @ _diag_power(cmath.exp(1j * t / 3.0)) @ _diag_power(math.sqrt(0.5))
-    out = out @ p_mat @ z_parametrix(nu, w)
-    out = out @ _diag_power(cmath.exp(t * theta)) @ _diag_power(a_fac)
-    return out
+    left = beta_fn(z, t, nu) / a_fac * cmath.exp(1j * t / 3.0) * math.sqrt(0.5)
+    right = cmath.exp(t * theta) * a_fac
+    (z00, z01), (z10, z11) = z_parametrix(nu, w).tolist()
+    return np.array([[left * (w * z00 + z10) * right, left * (w * z01 + z11) / right],
+                     [z00 * right / left, z01 / (left * right)]], dtype=complex)
 
 
 def t_left_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
@@ -397,13 +393,16 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     return out
 
 
-def parametrix_decay(p: ASParams, nu: complex) -> list[tuple[float, float]]:
+def parametrix_decay(p: ASParams) -> list[tuple[float, float]]:
     """Decay of the right parametrix against its first-order prediction:
     (t, max |T N^{-1} - m_pred|) for 13 times t on geomspace(10, 1000), the
     maximum over 16 points of the circle |z - 1/2| = 0.15.
 
-    ``loglog_slope`` of the result is the observed order in t.
+    ``loglog_slope`` of the result is the observed order in t.  N(z) takes
+    its order from ``rh_constants(p)``, as ``t_right_parametrix`` and
+    ``m_pred`` do.
     """
+    nu = rh_constants(p).nu
     zs = [0.5 + 0.15 * cmath.exp(1j * (0.0371 + 2.0 * math.pi * j / 16.0))
           for j in range(16)]
     pts = []

@@ -14,14 +14,18 @@ Numerical layout:
   Gamma factors of ``pcf_d`` come from ``scipy.special.rgamma``, which is
   exactly zero at the poles.
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  It uses the
-  even/odd Kummer series (summed in exact integer fixed point once the
-  argument oscillates hard) below |z| = 7.6 and the large-z expansion (plus the
-  reflection connection into the left sectors) beyond.  The series
+  even/odd Kummer series below |z| = 7.6 and the large-z expansion (plus the
+  reflection connection into the left sectors) beyond.  Once the argument
+  oscillates hard the series sums in exact integer fixed point at 2^-120;
+  each term there is divided as (x >> 239) // m with the small integer
+  m = 2(c+k)(k+1), which equals x // (m << 239) bit for bit.  The series
   prefactors are only double precision, so near the real axis, where D_nu is
   recessive and the even/odd split cancels by e^{Re z^2/2}, the mid range is
   instead bridged by Taylor transport of the Weber ODE
   u'' = (z^2/4 - nu - 1/2) u from the asymptotic ring inward; with D
-  recessive at the seed that direction cannot amplify the seed error.
+  recessive at the seed that direction cannot amplify the seed error.  Each
+  Taylor step of h = 0.5 sums at most 36 coefficients and stops early once
+  three terms in a row fall below 1e-18 of the value (8 terms at least).
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ _PCF_CONNECT_ARG = 0.5 * math.pi
 _PCF_MAX_ABS = 50.0
 _FIX_BITS = 120
 _FIX_ONE = 1 << _FIX_BITS
+_DIV_SHIFT = 2 * _FIX_BITS - 1
 
 
 def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
@@ -114,8 +119,10 @@ def _kummer_fixed(a: complex, c: float, w: complex) -> tuple[complex, complex]:
     # Same sum in exact integer fixed point: w, a and the terms are integers
     # at 2^-120 (scaling a float by a power of two and taking int() is
     # exact).  c is 1/2 or 3/2, the only values _pcf_series passes, so
-    # 2(c+k)(k+1) is an integer and each term is one complex integer product
-    # and one floor division.  Each division is off by < 2^-120; grown by at
+    # den = 2(c+k)(k+1) is an integer and each term is one complex integer
+    # product, a shift and a floor division by den; floor(floor(x/a)/b) =
+    # floor(x/(ab)) for positive integers a, b, so shifting first changes no
+    # bit of the quotient.  Each division is off by < 2^-120; grown by at
     # most the largest term (< 2^42 for |z| < 7.6), 600 terms stay < 2^-68,
     # far below the e^{|Im w|} cancellation the double sum would suffer.
     wr, wi = int(w.real * _FIX_ONE), int(w.imag * _FIX_ONE)
@@ -128,10 +135,11 @@ def _kummer_fixed(a: complex, c: float, w: complex) -> tuple[complex, complex]:
     weighted_r = weighted_i = 0  # sum of k * term_k
     scale = _FIX_ONE
     for k in range(0, 600):
-        # w (a + k) and (c + k)(k + 1), both at 2^-240
+        # term * w (a + k) / ((c + k)(k + 1)): x at 2^-360, x // (den << 239)
         ur, ui = war + k * wsr, wai + k * wsi
-        den = ((c2 + 2 * k) * (k + 1)) << (2 * _FIX_BITS - 1)
-        tr, ti = (tr * ur - ti * ui) // den, (tr * ui + ti * ur) // den
+        den = (c2 + 2 * k) * (k + 1)
+        tr, ti = (((tr * ur - ti * ui) >> _DIV_SHIFT) // den,
+                  ((tr * ui + ti * ur) >> _DIV_SHIFT) // den)
         total_r += tr
         total_i += ti
         weighted_r += (k + 1) * tr
@@ -226,23 +234,26 @@ def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
         c = z0 + i * h
         p0 = 0.25 * c * c - q
         p1 = 0.5 * c
-        # a_{m+2} = (p0 a_m + p1 a_{m-1} + 0.25 a_{m-2}) / ((m+2)(m+1))
-        a = [u, up]
+        # a_{m+2} = (p0 a_m + p1 a_{m-1} + 0.25 a_{m-2}) / ((m+2)(m+1)), at
+        # most 36 coefficients.  The value sum a_m h^m and the derivative
+        # sum m a_m h^{m-1} accumulate as the coefficients come; the step
+        # stops once three terms in a row fall below 1e-18 of the value,
+        # after at least 8 terms.
+        am2, am1, am, ap1 = 0j, 0j, u, up  # a_{m-2}, a_{m-1}, a_m, a_{m+1}
+        val = u + up * h
+        der = up
+        hp = h  # h^{m+1}
+        small = 0
         for m in range(0, 34):
-            acc = p0 * a[m]
-            if m >= 1:
-                acc += p1 * a[m - 1]
-            if m >= 2:
-                acc += 0.25 * a[m - 2]
-            a.append(acc / ((m + 2.0) * (m + 1.0)))
-        val = 0.0 + 0.0j
-        der = 0.0 + 0.0j
-        hp = 1.0 + 0.0j
-        for m, am in enumerate(a):
-            val += am * hp
-            if m + 1 < len(a):
-                der += (m + 1.0) * a[m + 1] * hp
+            a_new = (p0 * am + p1 * am1 + 0.25 * am2) / ((m + 2.0) * (m + 1.0))
+            der += (m + 2.0) * a_new * hp
             hp *= h
+            term = a_new * hp
+            val += term
+            small = small + 1 if abs(term) < 1e-18 * abs(val) else 0
+            if small >= 3 and m >= 5:
+                break
+            am2, am1, am, ap1 = am1, am, ap1, a_new
         u, up = val, der
     return u, up
 

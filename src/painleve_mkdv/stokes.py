@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegenerateParamsError, DomainError
 from .specfun import log_gamma
@@ -140,6 +141,7 @@ def h_factors(nu: complex) -> tuple[complex, complex]:
     return h0, h1
 
 
+@lru_cache(maxsize=32)  # as many pairs as profiles cached
 def rh_constants(p: ASParams) -> RHConstants:
     """nu, h0, h1 for the parametrix bookkeeping.
 

@@ -219,7 +219,7 @@ def test_09_stationary_identity(pair):
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
 def test_10_parametrix_decay(pair):
     p = make_params(*pair)
-    slope = loglog_slope(parametrix_decay(p, rh_constants(p).nu))
+    slope = loglog_slope(parametrix_decay(p))
     z = 0.5 + 0.15 * cmath.exp(1j * (0.0371 + 2.0 * math.pi * 3.0 / 16.0))
     sym = np.max(np.abs(t_left_parametrix(p, 50.0, -z)
                         - SIGMA2 @ t_right_parametrix(p, 50.0, z) @ SIGMA2))

@@ -106,3 +106,12 @@ def test_check_failure_exit_code(tmp_path):
 def test_transform_limits_keep_signs(tmp_path, argv):
     # the expected v_hat and u_hat limits carry the signs of alpha and b
     assert main(argv + ["--out", str(tmp_path / "rep.jsonl")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("alpha,k", [(0.25, 0.3), (-0.3, -0.4), (0.0, 0.5), (0.0, 0.0)])
+def test_rh_checks_suite_passes(tmp_path, alpha, k):
+    # residues, the stationary identity and, off the degenerate pair, the
+    # sigma2 symmetry and the decay of the parametrix
+    report = tmp_path / "rh.jsonl"
+    argv = ["rh-checks", "--alpha", repr(alpha), "--k", repr(k), "--out", str(report)]
+    assert main(argv) == EXIT_OK

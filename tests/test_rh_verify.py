@@ -16,11 +16,13 @@ from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn, m_pred,
                                      residue_check_origin,
                                      stationary_identity, t_left_parametrix,
                                      t_right_parametrix, z_parametrix)
-from painleve_mkdv.stokes import make_params, rh_constants
+from painleve_mkdv.stokes import make_params, rh_constants, stokes_triple
 
 P05 = make_params(0.0, 0.5)
 P253 = make_params(0.25, 0.3)
 NU05 = rh_constants(P05).nu
+ACCEPTANCE_PAIRS = [(0.0, 0.3), (0.0, 0.5), (0.25, 0.3), (-0.3, -0.4),
+                    (0.4, 0.5 * math.cos(0.4 * math.pi))]
 
 
 def _ring_points(n):
@@ -221,6 +223,14 @@ def test_z_calibration_cache_is_bounded():
     assert 1 <= info.currsize <= 160
 
 
+def test_rh_constants_cache_is_bounded():
+    # both parametrices and m_pred read the constants at every point
+    rh_constants(P05)
+    info = rh_constants.cache_info()
+    assert info.maxsize == 32
+    assert 1 <= info.currsize <= 32
+
+
 def test_z_sector_boundary_guard():
     with pytest.raises(SectorBoundaryError):
         z_parametrix(NU05, 2.0j)
@@ -261,6 +271,35 @@ def test_t_right_annulus_guard():
         t_right_parametrix(make_params(0.0, 0.0), 50.0, 0.5 + 0.15j)
 
 
+def _t_right_chain(p, t, z):
+    # the parametrix as the product of its factors: four diagonal powers,
+    # P(w), Z(w) and two more diagonal powers
+    def diag_power(a):
+        return np.array([[a, 0.0], [0.0, 1.0 / a]], dtype=complex)
+
+    rc = rh_constants(p)
+    theta, _, zeta = phase_maps(z)
+    w = math.sqrt(t) * zeta
+    a_fac = cmath.sqrt(-rc.h1 / stokes_triple(p).s3)
+    p_mat = np.array([[w, 1.0], [1.0, 0.0]], dtype=complex)
+    out = diag_power(beta_fn(z, t, rc.nu)) @ diag_power(1.0 / a_fac)
+    out = out @ diag_power(cmath.exp(1j * t / 3.0)) @ diag_power(math.sqrt(0.5))
+    out = out @ p_mat @ z_parametrix(rc.nu, w)
+    return out @ diag_power(cmath.exp(t * theta)) @ diag_power(a_fac)
+
+
+def test_t_right_matches_matrix_chain():
+    worst = 0.0
+    for pair in ACCEPTANCE_PAIRS:
+        p = make_params(*pair)
+        for t in np.geomspace(10.0, 1000.0, 13):
+            for z in _ring_points(16):
+                ref = _t_right_chain(p, t, z)
+                got = t_right_parametrix(p, t, z)
+                worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-13
+
+
 def test_sigma2_symmetry_exact():
     z = 0.5 + 0.12 * cmath.exp(0.9j)
     tl = t_left_parametrix(P253, 40.0, -z)
@@ -293,7 +332,7 @@ def test_m_pred_left_right_mirror():
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
 def test_parametrix_decay(pair):
     p = make_params(*pair)
-    pts = parametrix_decay(p, rh_constants(p).nu)
+    pts = parametrix_decay(p)
     assert loglog_slope(pts) <= -1.4
     at_100 = [n for (t, n) in pts if abs(t - 100.0) < 25.0][0]
     assert at_100 < 1e-2

@@ -213,15 +213,19 @@ def test_pcf_range_guard():
 BAND_ORDERS = [-0.0458j, -1 + 0.0458j, -0.5j, -1 + 0.5j, 0.3 + 0.2j]
 
 
-def _band_points(seed, count):
+def _seeded_points(seed, count, keep):
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < count:
         z = complex(*rng.uniform(-7.6, 7.6, size=2))
-        z2 = z * z
-        if abs(z) < 7.6 and abs(z2.imag) > 18.0 and z2.real <= 6.0:
+        if abs(z) < 7.6 and keep(z, z * z):
             pts.append(z)
     return pts
+
+
+def _band_points(seed, count):
+    return _seeded_points(seed, count,
+                          lambda z, z2: abs(z2.imag) > 18.0 and z2.real <= 6.0)
 
 
 def test_pcf_cancellation_band_matches_oracle():
@@ -254,3 +258,28 @@ def test_kummer_kernel_matches_hyp1f1():
                 refd = complex(a / c * mp.hyp1f1(a + 1, c + 1, w_k))
                 assert abs(m - ref) <= 1e-14 * abs(ref)
                 assert abs(dm - refd) <= 1e-14 * abs(refd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-2 ** 400, max_value=2 ** 400),
+       st.integers(min_value=1, max_value=2 ** 20),
+       st.integers(min_value=0, max_value=300))
+def test_shifted_floor_division_is_exact(x, m, s):
+    # the kernel shifts before it divides: floor(floor(x / 2^s) / m) equals
+    # floor(x / (m 2^s)) for integers of either sign
+    assert (x >> s) // m == x // (m << s)
+
+
+def test_pcf_march_wedge_matches_oracle():
+    # the right near-real wedge Re z^2 > 6, Re z >= 0, |z| < 7.6, where D_nu
+    # comes from Taylor transport of the Weber ODE inward from |z| = 7.6
+    pts = _seeded_points(10, 40, lambda z, z2: z2.real > 6.0 and z.real >= 0.0)
+    with mp.workdps(30):
+        for j, z in enumerate(pts):
+            nu = BAND_ORDERS[j % len(BAND_ORDERS)]
+            val, der = pcf_d(nu, z)
+            ref = mp.pcfd(nu, z)
+            refd = complex(0.5 * z * ref - mp.pcfd(nu + 1, z))
+            ref = complex(ref)
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+            assert abs(der - refd) <= 1e-10 * abs(refd)
