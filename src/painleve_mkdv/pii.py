@@ -13,12 +13,12 @@ The integrator is DOP853 written out for the 2-state system (v, v') on
 Python floats.  Its tableau is scipy's (``scipy.integrate._ivp.
 dop853_coefficients``) and so is its step control (safety 0.9, step factor
 in [0.2, 10], exponent -1/8, the err5/err3 RMS norm), so it takes the same
-steps as ``solve_ivp(method="DOP853")`` without scipy's per-step numpy
-work on a 2-vector, which took most of the time of a solve.
-The three extra dense stages are formed for all steps in one numpy pass
-after the loop, and the interpolants are scipy's ``Dop853DenseOutput``
-inside a public ``OdeSolution``: dense evaluation stays scipy's tested code
-path, and only the stepping that feeds it is new.
+steps as ``solve_ivp(method="DOP853")``.  The step is straight-line code
+generated from the tableau at import, with every stage sum written out and
+the right-hand side inlined; it rounds as a loop over the tableau rows does.
+The three extra dense stages are formed for all steps in one numpy pass,
+and the interpolants are scipy's ``Dop853DenseOutput`` inside a public
+``OdeSolution``, so dense evaluation stays scipy's tested code path.
 
 The one evaluator, ``tuned_solution(p)``, is a cached
 ``AblowitzSegurSolution``: a single left launch from x = -240, seeded from
@@ -85,6 +85,8 @@ class SolutionGrid:
     launch_point: float
     launch_side: str
     tolerance: float
+    rejected_steps: int = 0  # accepted steps: len(abscissas) - 1
+    rhs_evals: int = 0
     _dense: object = field(default=None, repr=False)
 
     @property
@@ -121,17 +123,40 @@ def _max_step_for(span_edges) -> float:
     return 2.0 * math.pi / (20.0 * math.sqrt(s_max))
 
 
-# scipy's DOP853 tableau as Python floats, zero coefficients dropped, and the
-# constants of its step controller (``scipy.integrate._ivp.rk``)
-_C = [float(c) for c in _dop.C[:_dop.N_STAGES]]
-_A_ROWS = [[(j, float(a)) for j, a in enumerate(row[:s]) if a != 0.0]
-           for s, row in enumerate(_dop.A[:_dop.N_STAGES])]
-_B = [(j, float(b)) for j, b in enumerate(_dop.B) if b != 0.0]
-_E5 = [(j, float(e)) for j, e in enumerate(_dop.E5) if e != 0.0]
-_E3 = [(j, float(e)) for j, e in enumerate(_dop.E3) if e != 0.0]
+# constants of scipy's DOP853 step controller (``scipy.integrate._ivp.rk``)
 _N_KEPT = _dop.N_STAGES + 1  # the main stages plus f at the step end
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
+
+
+def _generate_step():
+    """``_dop853_step(x, v, w, fw, h, alpha)``, one DOP853 step of (v, v') from
+    (v, w) with fw = f(x, v), compiled from scipy's tableau written out: each
+    sum runs left to right from 0.0 without zero terms.  It returns (v_new,
+    w_new, e5v, e5w, e3v, e3w, stages): 13 stages of v', then 13 of v''."""
+    kv = ["w"] + [f"kv{s}" for s in range(1, _N_KEPT)]
+    kw = ["fw"] + [f"kw{s}" for s in range(1, _N_KEPT)]
+
+    def sums(coeffs):
+        return [" + ".join(["0.0"] + [f"{float(a)!r} * {n}" for a, n in zip(coeffs, k)
+                                      if a != 0.0]) for k in (kv, kw)]
+
+    lines = ["def _dop853_step(x, v, w, fw, h, alpha):"]
+    for s in range(1, _dop.N_STAGES):
+        lines += ["dv, dw = {}, {}".format(*sums(_dop.A[s, :s])),
+                  f"{kv[s]} = w + dw * h", "vs = v + dv * h",
+                  f"{kw[s]} = (x + {float(_dop.C[s])!r} * h) * vs + 2.0 * vs ** 3 - alpha"]
+    lines += ["v_new, w_new = v + h * ({}), w + h * ({})".format(*sums(_dop.B)),
+              f"{kv[-1]} = w_new", f"{kw[-1]} = (x + h) * v_new + 2.0 * v_new ** 3 - alpha",
+              "e5v, e5w = {}, {}".format(*sums(_dop.E5)),
+              "e3v, e3w = {}, {}".format(*sums(_dop.E3)),
+              f"return v_new, w_new, e5v, e5w, e3v, e3w, ({', '.join(kv + kw)})"]
+    namespace = {}
+    exec(compile("\n    ".join(lines), "<dop853 step>", "exec"), namespace)
+    return namespace["_dop853_step"]
+
+
+_dop853_step = _generate_step()
 
 
 def _initial_step(x, v, w, fw, x_end, direction, max_step, alpha, rtol, atol):
@@ -174,8 +199,7 @@ def _dense_output(xs, ys, stages, alpha):
     f[:, 2] = 2.0 * delta - h[:, None] * (k[:, :, _N_KEPT - 1] + k[:, :, 0])
     f[:, 3:] = h[:, None, None] * (np.einsum("ds,njs->ndj", _dop.D[:, :_N_KEPT], k)
                                    + np.einsum("ds,njs->ndj", _dop.D[:, _N_KEPT:], extra))
-    return OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y_old[i], f[i])
-                           for i in range(n)])
+    return OdeSolution(t, list(map(Dop853DenseOutput, xs[:-1], xs[1:], y_old, f)))
 
 
 def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
@@ -190,6 +214,7 @@ def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
     fw = pii_rhs(x, v, alpha)
     h_abs = _initial_step(x, v, w, fw, x_end, direction, max_step, alpha, rtol, atol)
     xs, ys, stages = [x], array("d", (v, w)), array("d")
+    n_rejected = 0
     while direction * (x - x_end) < 0.0:
         min_step = 10.0 * abs(math.nextafter(x, direction * math.inf) - x)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -204,30 +229,9 @@ def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
                 x_new = x_end
             h = x_new - x
             h_abs = abs(h)
-            kv, kw = [w], [fw]
-            for c, row in zip(_C[1:], _A_ROWS[1:]):
-                dv = dw = 0.0
-                for j, a in row:
-                    dv += a * kv[j]
-                    dw += a * kw[j]
-                kv.append(w + dw * h)
-                kw.append(pii_rhs(x + c * h, v + dv * h, alpha))
-            dv = dw = 0.0
-            for j, b in _B:
-                dv += b * kv[j]
-                dw += b * kw[j]
-            v_new, w_new = v + h * dv, w + h * dw
-            kv.append(w_new)
-            kw.append(pii_rhs(x + h, v_new, alpha))
+            v_new, w_new, e5v, e5w, e3v, e3w, k = _dop853_step(x, v, w, fw, h, alpha)
             sv = atol + max(abs(v), abs(v_new)) * rtol
             sw = atol + max(abs(w), abs(w_new)) * rtol
-            e5v = e5w = e3v = e3w = 0.0
-            for j, e in _E5:
-                e5v += e * kv[j]
-                e5w += e * kw[j]
-            for j, e in _E3:
-                e3v += e * kv[j]
-                e3w += e * kw[j]
             err5 = (e5v / sv) ** 2 + (e5w / sw) ** 2
             err3 = (e3v / sv) ** 2 + (e3w / sw) ** 2
             if err5 == 0.0 and err3 == 0.0:
@@ -245,23 +249,24 @@ def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
+            n_rejected += 1
         if abs(v_new) > BLOWUP_THRESHOLD:
             raise BlowupError(
                 f"|v| exceeded {BLOWUP_THRESHOLD:g} near x = {x_new:.4g}; "
                 "launch data error was amplified (the exact solution is pole-free)")
-        stages.extend(kv)
-        stages.extend(kw)
-        x, v, w, fw = x_new, v_new, w_new, kw[-1]
+        stages.extend(k)
+        x, v, w, fw = x_new, v_new, w_new, k[-1]
         xs.append(x)
         ys.extend((v, w))
     dense = _dense_output(xs, ys, stages, alpha)
-    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2),
-                        float(x_start), launch_side, tol, dense)
+    n = len(xs) - 1  # f: twice before the loop, 12 per attempt, 3 per interpolant
+    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2), float(x_start), launch_side,
+                        tol, n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, dense)
 
 
 def _zero_grid(x_start, x_end, side, tol):
     xs = np.array([x_start, x_end], dtype=float)
-    return SolutionGrid(xs, np.zeros((2, 2)), float(x_start), side, tol, None)
+    return SolutionGrid(xs, np.zeros((2, 2)), float(x_start), side, tol)
 
 
 def solve_left_launch(p: ASParams, x_start: float = DEFAULT_X_LEFT,

@@ -96,7 +96,8 @@ def phase_maps(z):
     theta = 1j * (4.0 * z ** 3 / 3.0 - z)
     eta = z - 4.0 * z ** 3 / 3.0
     w = z + 1.0
-    if np.any((abs(w.imag) < 1e-9) & (w.real <= 0.0)):
+    near_cut = (abs(w.imag) < 1e-9) & (w.real <= 0.0)
+    if near_cut if xm is cmath else near_cut.any():
         warnings.warn("zeta evaluated within 1e-9 of its branch cut (-inf, -1]",
                       stacklevel=2)
     zeta = _ZETA_SCALE * cmath.exp(1j * _RING_PHASE) * (z - 0.5) * xm.sqrt(w)
@@ -129,7 +130,8 @@ def beta_fn(z, t: float, nu: complex):
     z, xm = _with_module(z)
     if not t > 0.0:
         raise DomainError("beta_fn requires t > 0")
-    if np.any((abs(z + 0.5) < 1e-12) | (abs(z + 1.0) < 1e-12)):
+    at_branch = (abs(z + 0.5) < 1e-12) | (abs(z + 1.0) < 1e-12)
+    if at_branch if xm is cmath else at_branch.any():
         raise BranchCutError("beta_fn undefined at the left branch points")
     log_base = (0.5 * math.log(t) + math.log(_ZETA_SCALE) + 1j * _RING_PHASE
                 + 0.5 * xm.log(z + 1.0) + xm.log(z + 0.5))
@@ -408,7 +410,7 @@ def parametrix_decay(p: ASParams) -> list[tuple[float, float]]:
     pts = []
     for t in np.geomspace(10.0, 1000.0, 13):
         nrm = max(np.linalg.norm(
-            t_right_parametrix(p, t, z) @ np.linalg.inv(n_matrix(z, nu))
+            t_right_parametrix(p, t, z) @ n_matrix(z, -nu)
             - m_pred(p, t, z, "right")) for z in zs)
         pts.append((float(t), float(nrm)))
     return pts

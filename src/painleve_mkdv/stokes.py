@@ -83,6 +83,12 @@ class RHConstants:
     h1: complex
 
 
+def _edge_cosine(alpha: float) -> float:
+    # cos(pi alpha) as sin(pi (1/2 - |alpha|)): 1/2 - |alpha| is exact for
+    # |alpha| >= 1/4, so the bound on |k| stays accurate as |alpha| -> 1/2
+    return math.sin(math.pi * (0.5 - abs(alpha)))
+
+
 def make_params(alpha: float, k: float) -> ASParams:
     alpha = float(alpha)
     k = float(k)
@@ -90,7 +96,7 @@ def make_params(alpha: float, k: float) -> ASParams:
         raise DomainError("alpha and k must be finite")
     if abs(alpha) >= 0.5:
         raise DomainError(f"alpha = {alpha:g} outside (-1/2, 1/2)")
-    bound = math.cos(math.pi * alpha)
+    bound = _edge_cosine(alpha)
     if abs(k) >= bound:
         raise DomainError(f"k = {k:g} outside (-cos(pi*alpha), cos(pi*alpha)) = (+-{bound:g})")
     return ASParams(alpha, k)
@@ -102,8 +108,11 @@ def stokes_triple(p: ASParams) -> StokesTriple:
 
 
 def _log_residue_argument(p: ASParams) -> float:
-    # cos^2(pi alpha) - k^2 = 1 - s1*s3, real and in (0, 1] on the domain
-    return math.cos(math.pi * p.alpha) ** 2 - p.k * p.k
+    # cos^2(pi alpha) - k^2 = 1 - s1*s3, real and in (0, 1] on the domain; the
+    # product does not cancel as |k| -> cos(pi alpha), and it is positive
+    # wherever make_params accepts k, since both use the same c
+    c, k = _edge_cosine(p.alpha), abs(p.k)
+    return (c - k) * (c + k)
 
 
 def connection_constants(p: ASParams) -> ConnectionConstants:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
+import painleve_mkdv.pii as pii
 from painleve_mkdv.asymptotics import v_neg_asym, v_neg_launch
 from painleve_mkdv.errors import (BlowupError, DomainError, GridRangeError)
 from painleve_mkdv.pii import (dense_residual, fit_oscillation, pii_rhs,
@@ -148,6 +150,111 @@ def test_stepper_matches_scipy_dop853(launch):
     xs = np.linspace(min(x0, x1), max(x0, x1), 4001)
     for pts in (xs, grid.abscissas, np.array([x0, x1])):
         assert np.max(np.abs(np.array(grid.evaluate(pts)) - ref.sol(pts))) < 1e-10
+
+
+# the DOP853 step as loops over scipy's tableau rows, zero coefficients
+# dropped: the reference for the generated straight-line step
+_C = [float(c) for c in _dop.C[:_dop.N_STAGES]]
+_A_ROWS = [[(j, float(a)) for j, a in enumerate(row[:s]) if a != 0.0]
+           for s, row in enumerate(_dop.A[:_dop.N_STAGES])]
+_B = [(j, float(b)) for j, b in enumerate(_dop.B) if b != 0.0]
+_E5 = [(j, float(e)) for j, e in enumerate(_dop.E5) if e != 0.0]
+_E3 = [(j, float(e)) for j, e in enumerate(_dop.E3) if e != 0.0]
+
+
+def _loop_step(x, v, w, fw, h, alpha):
+    kv, kw = [w], [fw]
+    for c, row in zip(_C[1:], _A_ROWS[1:]):
+        dv = dw = 0.0
+        for j, a in row:
+            dv += a * kv[j]
+            dw += a * kw[j]
+        kv.append(w + dw * h)
+        kw.append(pii_rhs(x + c * h, v + dv * h, alpha))
+    dv = dw = 0.0
+    for j, b in _B:
+        dv += b * kv[j]
+        dw += b * kw[j]
+    v_new, w_new = v + h * dv, w + h * dw
+    kv.append(w_new)
+    kw.append(pii_rhs(x + h, v_new, alpha))
+    errors = []
+    for table in (_E5, _E3):
+        ev = ew = 0.0
+        for j, e in table:
+            ev += e * kv[j]
+            ew += e * kw[j]
+        errors += [ev, ew]
+    return (v_new, w_new, *errors, tuple(kv + kw))
+
+
+def _bits(step_result):
+    *values, stages = step_result
+    return [float(u).hex() for u in (*values, *stages)]
+
+
+def test_generated_step_matches_loop_step():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        x = rng.uniform(-240.0, 12.0)
+        v, w = rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, 1.0)
+        alpha = rng.uniform(-0.5, 0.5)
+        fw = pii_rhs(x, v, alpha) if rng.uniform() < 0.5 else rng.normal()
+        h = math.copysign(10.0 ** rng.uniform(-8.0, 0.0), rng.uniform(-1.0, 1.0))
+        args = (x, v, w, fw, h, alpha)
+        assert _bits(pii._dop853_step(*args)) == _bits(_loop_step(*args))
+
+
+def _launches():
+    p = make_params(0.25, 0.3)
+    yield lambda: solve_left_launch(p, -240.0, 4.0, 1e-10)
+    yield lambda: solve_right_launch_homogeneous(0.5, 12.0, -60.0, 1e-11)
+
+
+@pytest.mark.parametrize("launch", list(_launches()), ids=["left", "right"])
+def test_generated_step_solve_is_bit_identical(launch, monkeypatch):
+    grid = launch()
+    monkeypatch.setattr(pii, "_dop853_step", _loop_step)
+    ref = launch()
+    xs = np.linspace(grid.x_min, grid.x_max, 4001)
+    assert np.array_equal(grid.abscissas, ref.abscissas)
+    assert np.array_equal(grid.states, ref.states)
+    assert np.array_equal(grid.evaluate(xs), ref.evaluate(xs))
+    assert (grid.rejected_steps, grid.rhs_evals) == (ref.rejected_steps, ref.rhs_evals)
+
+
+@pytest.mark.parametrize("launch", list(_launches()), ids=["left", "right"])
+def test_step_record_bookkeeping(launch, monkeypatch):
+    # every attempted step is one call of the step, and the record counts
+    # every evaluation of f: 12 per attempt plus those made through pii_rhs
+    counts = {"steps": 0, "rhs": 0}
+    step, rhs = pii._dop853_step, pii.pii_rhs
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    def counted_rhs(x, v, alpha):
+        out = rhs(x, v, alpha)
+        counts["rhs"] += np.size(out)
+        return out
+
+    monkeypatch.setattr(pii, "_dop853_step", counted_step)
+    monkeypatch.setattr(pii, "pii_rhs", counted_rhs)
+    grid = launch()
+    accepted = len(grid.abscissas) - 1
+    assert grid.rejected_steps == counts["steps"] - accepted
+    assert grid.rhs_evals == counts["rhs"] + 12 * counts["steps"]
+
+
+def test_step_record_matches_scipy_on_rejections():
+    # a trajectory heading for a pole: scipy rejects 7 of its 34 attempts,
+    # and its nfev (dense stages included) is the record's rhs_evals
+    grid = _integrate((0.0, 1.0), 0.0, 1.5, 0.0, 1e-10, "left")
+    ref = _scipy_dop853((0.0, 1.0), 0.0, 1.5, 0.0, 1e-10)
+    assert len(grid.abscissas) == len(ref.t)
+    assert grid.rejected_steps == 7
+    assert grid.rhs_evals == ref.nfev
 
 
 def test_blowup_raises_with_location():

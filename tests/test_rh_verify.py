@@ -3,6 +3,7 @@ the stationary-point identity, and the parabolic-cylinder parametrices."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ def test_zeta_squared_identity():
 def test_zeta_branch_warning():
     with pytest.warns(UserWarning):
         phase_maps(-3.0)
+    with pytest.warns(UserWarning):
+        phase_maps(-1.5 + 1e-10j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase_maps(-1.5 + 1e-8j)
+        phase_maps(-0.5)
 
 
 # N matrix -------------------------------------------------------------------
@@ -71,6 +78,13 @@ def test_n_matrix_reference_entries():
     assert n[0, 0] == pytest.approx(0.95843, abs=2e-5)
     assert n[1, 1] == pytest.approx(1.04337, abs=2e-5)
     assert abs(np.linalg.det(n) - 1.0) < 5e-16
+
+
+def test_n_matrix_inverse_is_minus_nu():
+    for nu in (NU05, -0.5j, 0.3 + 0.2j):
+        for z in _ring_points(16) + [1j, -2.0 + 0.5j, 1e3 + 0.0j]:
+            prod = n_matrix(z, -nu) @ n_matrix(z, nu)
+            assert np.max(np.abs(prod - np.eye(2))) < 1e-15
 
 
 def test_n_matrix_segment_rejected():
@@ -120,6 +134,13 @@ def test_beta_and_zeta_take_arrays():
         phase_maps(np.array([0.5, -3.0]))
     with pytest.raises(BranchCutError):
         beta_fn(np.array([0.6, -0.5]), 50.0, NU05)
+
+
+def test_beta_rejects_scalar_branch_points():
+    for z in (-0.5, -1.0, complex(-0.5, 1e-13)):
+        with pytest.raises(BranchCutError):
+            beta_fn(z, 50.0, NU05)
+    assert type(beta_fn(-0.5 + 1e-6j, 50.0, NU05)) is complex
 
 
 def test_beta_analytic_across_segment():

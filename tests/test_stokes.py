@@ -3,8 +3,10 @@ constants (nu, h0, h1)."""
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import DegenerateParamsError, DomainError
@@ -97,21 +99,50 @@ def test_rh_constants_reference():
     assert abs(rc.h0 * rc.h1 - 1.0 / 3.0) < 1e-13
 
 
+def _route_one(alpha, k):
+    """(nu, 1 - s1 s3, s1 s3) of route 1 at 40 digits from the float inputs:
+    formed in double precision, 1 - s1 s3 = 1 - sin^2(pi alpha) - k^2 cancels
+    near the edge |k| -> cos(pi alpha)."""
+    with mp.workdps(40):
+        s1s3 = mp.sin(mp.pi * mp.mpf(alpha)) ** 2 + mp.mpf(k) ** 2
+        nu = -mp.log(1 - s1s3) / (2j * mp.pi)
+        return complex(nu), 1 - s1s3, s1s3
+
+
 @given(valid_pairs())
+@example((0.48999999999999994, 0.03125))  # cos^2(pi alpha) - k^2 = 1.0e-5
 @settings(max_examples=60, deadline=None)
 def test_nu_two_routes_and_gamma_identity(ak):
-    import cmath
     p = make_params(*ak)
     rc = rh_constants(p)
     # route 1: nu = -(2 pi i)^{-1} ln(1 - s1 s3) with the complex logarithm
-    s = stokes_triple(p)
-    nu_log = -cmath.log(1.0 - s.s1 * s.s3) / (2j * math.pi)
+    nu_log, one_minus, s1s3 = _route_one(*ak)
     assert abs(rc.nu - nu_log) < 1e-13
     if not p.degenerate:
         d = connection_constants(p).d
         assert abs(rc.nu + 0.5j * d * d) < 1e-13
     # Gamma-reflection consequence
-    assert abs(rc.h0 * rc.h1 * (1.0 - s.s1 * s.s3) - s.s1 * s.s3) < 1e-12
+    with mp.workdps(40):
+        assert abs(mp.mpc(rc.h0 * rc.h1) * one_minus - s1s3) < 1e-12
+
+
+def test_d_squared_near_the_edge():
+    # near |k| -> cos(pi alpha) the error of d^2 = -ln(g)/pi is the error of
+    # g = cos^2(pi alpha) - k^2 over pi g; bound that implied error in g by a
+    # few ulps of c^2 = cos^2(pi alpha).  Measured on 1200 draws: at most
+    # 4.5e-16 (1.0e-14 with g formed as cos(pi alpha)^2 - k^2, where the
+    # rounding of pi alpha near pi/2 dominates as |alpha| -> 1/2)
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        alpha = math.copysign(rng.uniform(0.25, 0.49), rng.uniform(-1.0, 1.0))
+        c = math.cos(math.pi * alpha)
+        k = math.copysign(c * math.sqrt(1.0 - 10.0 ** rng.uniform(-12.0, -1.0)),
+                          rng.uniform(-1.0, 1.0))
+        d2 = -2.0 * rh_constants(make_params(alpha, k)).nu.imag
+        with mp.workdps(40):
+            c2 = mp.cos(mp.pi * mp.mpf(alpha)) ** 2
+            g = c2 - mp.mpf(k) ** 2
+            assert abs(d2 + mp.log(g) / mp.pi) * mp.pi * g < 1e-15 * c2
 
 
 def test_reduce_angle():
