@@ -21,7 +21,7 @@ from scipy.special import sici
 
 from .errors import DomainError
 from .pii import AblowitzSegurSolution, tuned_solution
-from .stokes import ASParams, ConnectionConstants
+from .stokes import ASParams, ConnectionConstants, _edge_cosine
 
 __all__ = [
     "TailPolicy",
@@ -53,9 +53,10 @@ def total_integral_formula(p: ASParams) -> float:
     (1/2) ln((cos(pi alpha) + k)/(cos(pi alpha) - k)).
 
     Written as a difference of logarithms so the antisymmetry in k holds
-    exactly in floating point.
+    exactly in floating point; cos(pi alpha) is the edge-accurate form that
+    bounds |k| in ``make_params``, so c - |k| keeps its digits near the edge.
     """
-    c = math.cos(math.pi * p.alpha)
+    c = _edge_cosine(p.alpha)
     return 0.5 * (math.log(c + p.k) - math.log(c - p.k))
 
 

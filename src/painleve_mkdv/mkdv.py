@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, GridRangeError
 from .integrals import TailPolicy, v_hat
 from .pii import AblowitzSegurSolution, tuned_solution
-from .stokes import ASParams, make_params
+from .stokes import ASParams, _edge_cosine, make_params
 
 __all__ = [
     "InitialDataCoefficients",
@@ -47,7 +47,7 @@ def ab_to_params(coeffs: InitialDataCoefficients) -> ASParams:
     alpha = -b/2 and k = cos(pi alpha) tanh(-a/2) (inverting the total
     integral (1/2) ln((cos pi alpha + k)/(cos pi alpha - k)) = -a/2)."""
     alpha = -0.5 * coeffs.b
-    k = math.cos(math.pi * alpha) * math.tanh(-0.5 * coeffs.a)
+    k = _edge_cosine(alpha) * math.tanh(-0.5 * coeffs.a)
     return make_params(alpha, k)
 
 

@@ -55,6 +55,8 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _RING_PHASE = 0.75 * math.pi
 _ZETA_SCALE = 4.0 * math.sqrt(3.0) / 3.0
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_TWO = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -246,8 +248,8 @@ def _z_base(nu: complex, w: complex) -> np.ndarray:
     v2, d2 = pcf_d(nu, w)
     col_phase = cmath.exp(0.5j * math.pi * (nu + 1.0))
     return np.array([
-        [math.sqrt(0.5) * v1 * col_phase, math.sqrt(0.5) * v2],
-        [math.sqrt(2.0) * 1j * d1 * col_phase, math.sqrt(2.0) * d2],
+        [_SQRT_HALF * v1 * col_phase, _SQRT_HALF * v2],
+        [_SQRT_TWO * 1j * d1 * col_phase, _SQRT_TWO * d2],
     ], dtype=complex)
 
 
@@ -280,16 +282,24 @@ _SECTOR_MID = {0: -0.125 * math.pi, 1: 0.25 * math.pi, 2: 0.75 * math.pi,
                3: 1.25 * math.pi, 4: 1.625 * math.pi}
 
 
-def _basis_matrix(nu: complex, w: complex, sector: int) -> np.ndarray:
+def _basis_entries(nu: complex, w: complex, sector: int) -> tuple[complex, ...]:
     # carries the same 2^{-sigma3/2} row scaling as the recurrence form, so
-    # the connection coefficients inherit the diagonal structure
+    # the connection coefficients inherit the diagonal structure; entries in
+    # row-major order
     rot_r, rot_g = _SECTOR_BASIS[sector]
     vg, dg = pcf_d(-nu - 1.0, rot_g * w)
     vr, dr = pcf_d(nu, rot_r * w)
-    return np.array([
-        [math.sqrt(0.5) * vg, math.sqrt(0.5) * vr],
-        [math.sqrt(2.0) * rot_g * dg, math.sqrt(2.0) * rot_r * dr],
-    ], dtype=complex)
+    return (_SQRT_HALF * vg, _SQRT_HALF * vr,
+            _SQRT_TWO * rot_g * dg, _SQRT_TWO * rot_r * dr)
+
+
+def _z_entries(nu: complex, w: complex) -> tuple[complex, ...]:
+    # basis times calibration in Python complex arithmetic, row-major
+    sector = _z_sector(w)
+    b00, b01, b10, b11 = _basis_entries(nu, w, sector)
+    c00, c01, c10, c11 = _z_calibration(nu, sector)
+    return (b00 * c00 + b01 * c10, b00 * c01 + b01 * c11,
+            b10 * c00 + b11 * c10, b10 * c01 + b11 * c11)
 
 
 def z_parametrix(nu: complex, w: complex) -> np.ndarray:
@@ -303,17 +313,17 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
     *in that sector*, glued to the recurrence form by constant matrices
     calibrated once per nu at small |w|.
     """
-    w = complex(w)
-    sector = _z_sector(w)
-    return _basis_matrix(nu, w, sector) @ _z_calibration(nu, sector)
+    z00, z01, z10, z11 = _z_entries(nu, complex(w))
+    return np.array([[z00, z01], [z10, z11]], dtype=complex)
 
 
 @lru_cache(maxsize=160)  # 32 orders (as many as profiles cached) x 5 sectors
-def _z_calibration(nu: complex, sector: int) -> np.ndarray:
-    """Constant matrix gluing the sector basis to the recurrence form."""
+def _z_calibration(nu: complex, sector: int) -> tuple[complex, ...]:
+    """Constant matrix gluing the sector basis to the recurrence form, as
+    its four entries in row-major order."""
     w_cal = 1.5 * cmath.exp(1j * _SECTOR_MID[sector])
     ref = _z_product(nu, w_cal, sector)
-    base = _basis_matrix(nu, w_cal, sector)
+    base = np.reshape(_basis_entries(nu, w_cal, sector), (2, 2))
     coeff = np.linalg.solve(base, ref)
     # Structural zeros: a column with recessive asymptotics somewhere in
     # the (closed) sector is a multiple of the unique recessive solution
@@ -327,8 +337,7 @@ def _z_calibration(nu: complex, sector: int) -> np.ndarray:
     coeff[1, 0] = 0.0
     if sector < 4:
         coeff[0, 1] = 0.0
-    coeff.setflags(write=False)  # shared by every caller through the cache
-    return coeff
+    return tuple(coeff.ravel().tolist())
 
 
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
@@ -348,9 +357,9 @@ def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
     theta, _, zeta = phase_maps(z)
     w = math.sqrt(t) * zeta
     a_fac = cmath.sqrt(-rc.h1 / s3)
-    left = beta_fn(z, t, nu) / a_fac * cmath.exp(1j * t / 3.0) * math.sqrt(0.5)
+    left = beta_fn(z, t, nu) / a_fac * cmath.exp(1j * t / 3.0) * _SQRT_HALF
     right = cmath.exp(t * theta) * a_fac
-    (z00, z01), (z10, z11) = z_parametrix(nu, w).tolist()
+    z00, z01, z10, z11 = _z_entries(nu, w)
     return np.array([[left * (w * z00 + z10) * right, left * (w * z01 + z11) / right],
                      [z00 * right / left, z01 / (left * right)]], dtype=complex)
 

@@ -24,14 +24,19 @@ Numerical layout:
   instead bridged by Taylor transport of the Weber ODE
   u'' = (z^2/4 - nu - 1/2) u from the asymptotic ring inward; with D
   recessive at the seed that direction cannot amplify the seed error.  Each
-  Taylor step of h = 0.5 sums at most 36 coefficients and stops early once
+  Taylor step of h = 1 sums at most 48 coefficients and stops early once
   three terms in a row fall below 1e-18 of the value (8 terms at least).
+* The last two Kummer sums are cached.  By Kummer's transformation
+  M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and D_nu(+-w) share
+  their two sums, so the second column of the parametrix matrix Z reuses
+  the first column's whenever both take the series path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from scipy.special import airy, loggamma, rgamma
 
@@ -85,22 +90,33 @@ _PCF_MAX_ABS = 50.0
 _FIX_BITS = 120
 _FIX_ONE = 1 << _FIX_BITS
 _DIV_SHIFT = 2 * _FIX_BITS - 1
+_MARCH_TERMS = 48
 
 
 def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
     """Confluent hypergeometric M(a, c, w) and dM/dw by direct summation.
 
     Arguments with Re w < 0 are routed through M(a,c,w) = e^w M(c-a, c, -w)
-    so the summed series never alternates in its dominant scale; a large
-    imaginary part still oscillates (cancellation ~ e^{|Im w|}), in which
-    case the sum runs in exact integer fixed point at 2^-120.
+    so the summed series never alternates in its dominant scale.
     """
     if w == 0:
         return 1.0 + 0.0j, a / c
     if w.real < 0.0:
-        m, dm = _kummer(c - a, c, -w)
+        m, dm = _kummer_sum(c - a, c, -w)
         ew = cmath.exp(w)
         return ew * m, ew * (m - dm)
+    return _kummer_sum(a, c, w)
+
+
+# The two columns of the parabolic-cylinder parametrix evaluate D_{-nu-1}(+-iw)
+# and D_nu(+-w); the Kummer reflection above maps the first column's two sums
+# onto exactly the second's (c - a gives -nu/2 and (1 - nu)/2), bit for bit
+# when nu is purely imaginary, so the last pcf_d call's pair is kept.
+@lru_cache(maxsize=2)
+def _kummer_sum(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
+    """M(a, c, w) and dM/dw for Re w >= 0.  A large imaginary part still
+    oscillates (cancellation ~ e^{|Im w|}); the sum then runs in exact
+    integer fixed point at 2^-120."""
     if abs(w.imag) > 9.0:
         return _kummer_fixed(a, c, w)
     term = 1.0 + 0.0j
@@ -110,7 +126,7 @@ def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
         term = term * w * (a + k) / ((c + k) * (k + 1.0))
         total += term
         weighted += (k + 1.0) * term
-        if abs(term) < 1e-17 * (abs(total) + 1e-300) and k > 3:
+        if k > 3 and abs(term) < 1e-17 * (abs(total) + 1e-300):
             break
     return total, weighted / w
 
@@ -125,31 +141,37 @@ def _kummer_fixed(a: complex, c: float, w: complex) -> tuple[complex, complex]:
     # bit of the quotient.  Each division is off by < 2^-120; grown by at
     # most the largest term (< 2^42 for |z| < 7.6), 600 terms stay < 2^-68,
     # far below the e^{|Im w|} cancellation the double sum would suffer.
+    # The weighted sum comes from the partial sums T_j, exactly:
+    # sum_{j<=n} j t_j = n T_n - sum_{j<n} T_j.
     wr, wi = int(w.real * _FIX_ONE), int(w.imag * _FIX_ONE)
     ar, ai = int(a.real * _FIX_ONE), int(a.imag * _FIX_ONE)
-    war, wai = wr * ar - wi * ai, wr * ai + wi * ar  # w a at 2^-240
-    wsr, wsi = wr << _FIX_BITS, wi << _FIX_BITS      # w at 2^-240
+    ur, ui = wr * ar - wi * ai, wr * ai + wi * ar  # w (a + k) at 2^-240
+    wsr, wsi = wr << _FIX_BITS, wi << _FIX_BITS    # w at 2^-240
     c2 = int(2.0 * c)
     tr, ti = _FIX_ONE, 0
     total_r, total_i = tr, ti
-    weighted_r = weighted_i = 0  # sum of k * term_k
+    run_r = run_i = 0  # sum of the partial sums before the newest term
     scale = _FIX_ONE
     for k in range(0, 600):
         # term * w (a + k) / ((c + k)(k + 1)): x at 2^-360, x // (den << 239)
-        ur, ui = war + k * wsr, wai + k * wsi
+        run_r += total_r
+        run_i += total_i
         den = (c2 + 2 * k) * (k + 1)
         tr, ti = (((tr * ur - ti * ui) >> _DIV_SHIFT) // den,
                   ((tr * ui + ti * ur) >> _DIV_SHIFT) // den)
         total_r += tr
         total_i += ti
-        weighted_r += (k + 1) * tr
-        weighted_i += (k + 1) * ti
         mag = abs(tr) + abs(ti)
-        scale = max(scale, mag)
-        if mag < scale >> 113 and k > 3:  # below 2^-113 of the largest term
+        if mag > scale:
+            scale = mag
+        elif mag < scale >> 113 and k > 3:  # below 2^-113 of the largest term
             break
+        ur += wsr
+        ui += wsi
+    n = k + 1
     m = complex(total_r / _FIX_ONE, total_i / _FIX_ONE)
-    dm = complex(weighted_r / _FIX_ONE, weighted_i / _FIX_ONE) / w
+    dm = complex((n * total_r - run_r) / _FIX_ONE,
+                 (n * total_i - run_i) / _FIX_ONE) / w
     return m, dm
 
 
@@ -178,12 +200,13 @@ def _pcf_asym(nu: complex, z: complex) -> tuple[complex, complex]:
     prev = math.inf
     for s in range(0, 40):
         term = -term * (-nu + 2.0 * s) * (-nu + 2.0 * s + 1.0) * inv_z2 / (2.0 * (s + 1.0))
-        if abs(term) > prev:
+        mag = abs(term)
+        if mag > prev:
             break
         total += term
         weighted += (s + 1.0) * term
-        prev = abs(term)
-        if prev < 1e-18 * abs(total):
+        prev = mag
+        if mag < 1e-18 * abs(total):
             break
     envelope = cmath.exp(-0.25 * z * z + nu * cmath.log(z))
     value = envelope * total
@@ -227,7 +250,7 @@ def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
     """Taylor transport of u'' = (z^2/4 - nu - 1/2) u inward along the ray."""
     z0 = z * (_PCF_ASYM_RADIUS / abs(z))
     u, up = _pcf_far(nu, z0)
-    n_steps = max(1, math.ceil(abs(z - z0) / 0.5))
+    n_steps = max(1, math.ceil(abs(z - z0)))  # steps of |h| <= 1
     h = (z - z0) / n_steps
     q = nu + 0.5
     for i in range(n_steps):
@@ -235,16 +258,16 @@ def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
         p0 = 0.25 * c * c - q
         p1 = 0.5 * c
         # a_{m+2} = (p0 a_m + p1 a_{m-1} + 0.25 a_{m-2}) / ((m+2)(m+1)), at
-        # most 36 coefficients.  The value sum a_m h^m and the derivative
-        # sum m a_m h^{m-1} accumulate as the coefficients come; the step
-        # stops once three terms in a row fall below 1e-18 of the value,
-        # after at least 8 terms.
+        # most _MARCH_TERMS coefficients.  The value sum a_m h^m and the
+        # derivative sum m a_m h^{m-1} accumulate as the coefficients come;
+        # the step stops once three terms in a row fall below 1e-18 of the
+        # value, after at least 8 terms.
         am2, am1, am, ap1 = 0j, 0j, u, up  # a_{m-2}, a_{m-1}, a_m, a_{m+1}
         val = u + up * h
         der = up
         hp = h  # h^{m+1}
         small = 0
-        for m in range(0, 34):
+        for m in range(0, _MARCH_TERMS - 2):
             a_new = (p0 * am + p1 * am1 + 0.25 * am2) / ((m + 2.0) * (m + 1.0))
             der += (m + 2.0) * a_new * hp
             hp *= h

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import painleve_mkdv.rh_verify as rv
+import painleve_mkdv.specfun as sf
 from painleve_mkdv.asymptotics import loglog_slope
 from painleve_mkdv.errors import (BranchCutError, DegenerateParamsError,
                                   DomainError, SectorBoundaryError)
@@ -250,6 +251,22 @@ def test_rh_constants_cache_is_bounded():
     info = rh_constants.cache_info()
     assert info.maxsize == 32
     assert 1 <= info.currsize <= 32
+
+
+def test_z_parametrix_columns_share_kummer_sums(monkeypatch):
+    # at |Re w^2| <= 6, |w| < 7.6 both columns of Z take the series path, and
+    # the Kummer reflection maps the growing column's two sums onto the
+    # recessive column's: the second pcf_d call finds both in the cache
+    assert sf._kummer_sum.cache_info().maxsize == 2
+    nu = -0.5j
+    w = 1.2 * cmath.exp(1j * (rv._SECTOR_MID[1] + 0.11))
+    assert abs((w * w).real) <= 6.0
+    z_parametrix(nu, w)  # calibrates the sector
+    sf._kummer_sum.cache_clear()
+    cached = z_parametrix(nu, w)
+    assert sf._kummer_sum.cache_info().hits == 2
+    monkeypatch.setattr(sf, "_kummer_sum", sf._kummer_sum.__wrapped__)
+    assert np.array_equal(z_parametrix(nu, w), cached)
 
 
 def test_z_sector_boundary_guard():

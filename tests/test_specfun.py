@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import painleve_mkdv.specfun as sf
 from painleve_mkdv.errors import PoleError, SpecFunRangeError
 from painleve_mkdv.specfun import _kummer_fixed, airy_ai, log_gamma, pcf_d
 
@@ -283,3 +284,61 @@ def test_pcf_march_wedge_matches_oracle():
             ref = complex(ref)
             assert abs(val - ref) <= 1e-10 * abs(ref)
             assert abs(der - refd) <= 1e-10 * abs(refd)
+
+
+def _kummer_fixed_loop(a, c, w):
+    # the fixed-point kernel in its first form, kept as the reference: u
+    # recomputed from k, the weighted sum accumulated term by term, and the
+    # running scale updated with max()
+    one, bits, shift = sf._FIX_ONE, sf._FIX_BITS, sf._DIV_SHIFT
+    wr, wi = int(w.real * one), int(w.imag * one)
+    ar, ai = int(a.real * one), int(a.imag * one)
+    war, wai = wr * ar - wi * ai, wr * ai + wi * ar
+    wsr, wsi = wr << bits, wi << bits
+    c2 = int(2.0 * c)
+    tr, ti = one, 0
+    total_r, total_i = tr, ti
+    weighted_r = weighted_i = 0
+    scale = one
+    for k in range(0, 600):
+        ur, ui = war + k * wsr, wai + k * wsi
+        den = (c2 + 2 * k) * (k + 1)
+        tr, ti = (((tr * ur - ti * ui) >> shift) // den,
+                  ((tr * ui + ti * ur) >> shift) // den)
+        total_r += tr
+        total_i += ti
+        weighted_r += (k + 1) * tr
+        weighted_i += (k + 1) * ti
+        mag = abs(tr) + abs(ti)
+        scale = max(scale, mag)
+        if mag < scale >> 113 and k > 3:
+            break
+    m = complex(total_r / one, total_i / one)
+    dm = complex(weighted_r / one, weighted_i / one) / w
+    return m, dm
+
+
+def test_kummer_fixed_matches_loop_form():
+    # seeded kernel arguments: c = 1/2, 3/2, Re w >= 0, 9 < |Im w|, |w| < 29,
+    # plus one argument whose sum runs into the 600-term cap
+    rng = np.random.default_rng(12)
+    args = [(complex(*rng.uniform(-1.5, 1.5, size=2)), 0.5, 300.0 + 400.0j)]
+    while len(args) < 400:
+        w = complex(rng.uniform(0.0, 29.0), rng.uniform(-29.0, 29.0))
+        if abs(w.imag) > 9.0 and abs(w) < 29.0:
+            a = complex(*rng.uniform(-1.5, 1.5, size=2))
+            args.append((a, 0.5 + len(args) % 2, w))
+    for a, c, w in args:
+        got, want = _kummer_fixed(a, c, w), _kummer_fixed_loop(a, c, w)
+        assert [x.hex() for z in got for x in (z.real, z.imag)] == \
+            [x.hex() for z in want for x in (z.real, z.imag)], (a, c, w)
+
+
+def test_pcf_march_stops_before_its_cap(monkeypatch):
+    # every Taylor step on seeded wedge points ends on its own stopping test:
+    # raising the coefficient cap changes no bit
+    pts = _seeded_points(11, 60, lambda z, z2: z2.real > 6.0 and z.real >= 0.0)
+    args = [(BAND_ORDERS[j % len(BAND_ORDERS)], z) for j, z in enumerate(pts)]
+    capped = [pcf_d(nu, z) for nu, z in args]
+    monkeypatch.setattr(sf, "_MARCH_TERMS", 4 * sf._MARCH_TERMS)
+    assert [pcf_d(nu, z) for nu, z in args] == capped
