@@ -23,7 +23,6 @@ __all__ = [
     "InitialDataCoefficients",
     "SelfSimilarField",
     "ab_to_params",
-    "u_eval",
     "u_hat",
     "pde_residual_fd",
     "pde_residual_closure",
@@ -79,10 +78,6 @@ class SelfSimilarField:
         if x_arr.ndim == 0:
             return float(u)
         return u
-
-
-def u_eval(field: SelfSimilarField, x) -> float:
-    return field.u(x)
 
 
 def u_hat(field: SelfSimilarField, xi: float,

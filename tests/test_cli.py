@@ -5,8 +5,9 @@ import json
 import pytest
 
 from painleve_mkdv.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main,
-                               parse_config)
+                               parse_config, run_suite)
 from painleve_mkdv.errors import ConfigError
+from painleve_mkdv.mkdv import InitialDataCoefficients, ab_to_params
 
 
 def test_specfun_suite_passes(tmp_path, capsys):
@@ -110,8 +111,29 @@ def test_transform_limits_keep_signs(tmp_path, argv):
 
 @pytest.mark.parametrize("alpha,k", [(0.25, 0.3), (-0.3, -0.4), (0.0, 0.5), (0.0, 0.0)])
 def test_rh_checks_suite_passes(tmp_path, alpha, k):
-    # residues, the stationary identity and, off the degenerate pair, the
-    # sigma2 symmetry and the decay of the parametrix
+    # residues, the stationary identity, the h0 h1 identity and, off the
+    # degenerate pair, the decay of the parametrix
     report = tmp_path / "rh.jsonl"
     argv = ["rh-checks", "--alpha", repr(alpha), "--k", repr(k), "--out", str(report)]
     assert main(argv) == EXIT_OK
+
+
+def test_suite_check_ids_are_stable():
+    # the benchmark parses these ids, in this order, and reads xi back from
+    # the fourier ones
+    coeffs = InitialDataCoefficients(1.0, 0.5)
+    p = ab_to_params(coeffs)
+    with_ab = {"coeffs": coeffs, "params": p}
+
+    def ids(suite, opts):
+        return [r.check_id for r in run_suite(suite, opts)]
+
+    v_hat_ids = ["fourier.v_hat_limit_xi=+1e-03", "fourier.v_hat_limit_xi=-1e-03"]
+    u_hat_ids = ["fourier.u_hat_limit_xi=+1", "fourier.u_hat_limit_xi=-1"]
+    for opts in ({"params": p}, with_ab):
+        assert ids("total-integral", opts) == ["total_integral.formula"]
+        assert ids("pde", opts) == ["pde.fd_convergence_ratio", "pde.closure_residual"]
+    assert ids("fourier-limit", {"params": p}) == v_hat_ids
+    assert ids("fourier-limit", with_ab) == v_hat_ids + u_hat_ids
+    xis = [float(check_id.split("=")[1]) for check_id in v_hat_ids + u_hat_ids]
+    assert xis == [1e-3, -1e-3, 1.0, -1.0]

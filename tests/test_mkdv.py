@@ -9,7 +9,7 @@ from scipy.integrate import trapezoid
 from painleve_mkdv.errors import DomainError, GridRangeError
 from painleve_mkdv.mkdv import (InitialDataCoefficients, SelfSimilarField,
                                 ab_to_params, pde_residual_closure,
-                                pde_residual_fd, u_eval, u_hat)
+                                pde_residual_fd, u_hat)
 from painleve_mkdv.integrals import v_hat
 from painleve_mkdv.pii import tuned_solution
 from painleve_mkdv.stokes import make_params
@@ -36,7 +36,7 @@ def test_u_at_special_time(sol_0_05):
     # (3t) = 1 makes u(t, x) = -2 v(x) exactly
     field = SelfSimilarField(sol_0_05.params, 1.0 / 3.0, solution=sol_0_05)
     for x in (-20.0, -3.3, 0.0, 2.5):
-        assert u_eval(field, x) == pytest.approx(-2.0 * sol_0_05.v(x)[0], abs=1e-15)
+        assert field.u(x) == pytest.approx(-2.0 * sol_0_05.v(x)[0], abs=1e-15)
 
 
 def test_degenerate_field_zero():

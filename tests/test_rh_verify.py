@@ -157,10 +157,6 @@ def test_beta_analytic_across_segment():
 def test_contour_circle_validation():
     with pytest.raises(DomainError):
         ContourCircle(0.0, 0.3)
-    with pytest.raises(DomainError):
-        ContourCircle(0.0, 0.1, "widdershins")
-    with pytest.raises(DomainError):
-        ContourCircle(0.0, 0.1, n_nodes=16)
 
 
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3), (-0.3, -0.4)])
@@ -177,11 +173,6 @@ def test_residue_origin(pair):
 def test_residue_nu_zero():
     val = residue_check_origin(ContourCircle(0.0, 0.1), 0.0)
     assert abs(val + 2j * math.pi) < 1e-12
-
-
-def test_residue_orientation_guard():
-    with pytest.raises(DomainError):
-        residue_check_origin(ContourCircle(0.0, 0.1, "counterclockwise"), NU05)
 
 
 # stationary identity ---------------------------------------------------------
