@@ -4,7 +4,9 @@ pass/fail line per check (run with -s to see them).
 Each check is defined once, in the suites of `painleve_mkdv.cli`:
 `test_suite` runs every suite on each acceptance pair, and `fourier-limit`
 once more with initial-data coefficients (a, b) = (1, 0.5), and asserts that
-every report passed.  The numbered tests hold only what no suite checks.
+every report passed.  Some numbered tests (`01b`, `02`, `05`, `09`, `10`)
+assert one suite check each, read from the same cached suite run; the rest
+hold what no suite checks.
 
 The `01` checks encode a fixed shallow-launch protocol verbatim: launch from
 x = -60 and compare with the decaying model at x = 4, tolerance 5e-3.  The
@@ -20,6 +22,7 @@ finds the same floor in the production evaluator, whose single launch
 starts at x = -240.
 """
 
+import functools
 import math
 import time
 
@@ -44,10 +47,9 @@ PAIRS = [
 
 AB = InitialDataCoefficients(1.0, 0.5)
 
-CASES = [pytest.param(suite, {"params": make_params(*pair)}, id=f"{suite}-pair{i}")
+CASES = [pytest.param(suite, pair, id=f"{suite}-pair{i}")
          for i, pair in enumerate(PAIRS) for suite in SUITES if suite != "all"]
-CASES.append(pytest.param("fourier-limit", {"coeffs": AB, "params": ab_to_params(AB)},
-                          id="fourier-limit-ab"))
+CASES.append(pytest.param("fourier-limit", AB, id="fourier-limit-ab"))
 
 
 def _report(label: str, err, tol, extra: str = "") -> None:
@@ -55,14 +57,28 @@ def _report(label: str, err, tol, extra: str = "") -> None:
     print(f"[{status}] {label}: abs_err={err:.3e} tol={tol:.1e} {extra}")
 
 
+@functools.cache
+def _reports(suite: str, data) -> list:
+    """`run_suite` on an (alpha, k) pair or on initial-data coefficients;
+    each suite runs once per input."""
+    if isinstance(data, InitialDataCoefficients):
+        return run_suite(suite, {"coeffs": data, "params": ab_to_params(data)})
+    return run_suite(suite, {"params": make_params(*data)})
+
+
+def _assert_check(suite: str, pair, check_id: str) -> None:
+    r = next(r for r in _reports(suite, pair) if r.check_id == check_id)
+    _report(f"{check_id} {pair}", r.abs_err, r.tol)
+    assert r.passed
+
+
 # -- the CLI suites ------------------------------------------------------------
 
-@pytest.mark.parametrize("suite, opts", CASES)
-def test_suite(suite, opts):
-    p = opts["params"]
-    reports = run_suite(suite, opts)
+@pytest.mark.parametrize("suite, data", CASES)
+def test_suite(suite, data):
+    reports = _reports(suite, data)
     for r in reports:
-        _report(f"{r.check_id} ({p.alpha:g}, {p.k:g})", r.abs_err, r.tol)
+        _report(f"{r.check_id} {data}", r.abs_err, r.tol)
     assert reports
     assert all(r.passed for r in reports), [r.check_id for r in reports if not r.passed]
 
@@ -97,6 +113,21 @@ def test_01_runtime_budget(round_trip_runs):
     assert round_trip_runs["runtime"] < 60.0
 
 
+@pytest.mark.parametrize("pair", PAIRS)
+def test_01b_round_trip_depth_adapted(pair):
+    # the same round trip through the production evaluator (one launch from
+    # x = -240): the connection formulas parameterize the solution that
+    # decays on the right
+    _assert_check("connection", pair, "connection.seam_at_x_match")
+
+
+# -- 2: homogeneous cross-validation ------------------------------------------
+
+def test_02_right_launch_cross_validation():
+    _assert_check("connection", (0.0, 0.5), "connection.right_launch_d")
+    _assert_check("connection", (0.0, 0.5), "connection.right_launch_phi")
+
+
 # -- 3: remainder-order improvement -------------------------------------------
 
 def test_03_remainder_orders(sol_025_03):
@@ -124,6 +155,13 @@ def test_04_antisymmetry_in_k():
     assert err < 2e-3
 
 
+# -- 5: transform limits -------------------------------------------------------
+
+@pytest.mark.parametrize("xi", [1e-3, -1e-3])
+def test_05_v_hat_limit(xi):
+    _assert_check("fourier-limit", (0.25, 0.3), f"fourier.v_hat_limit_xi={xi:+.0e}")
+
+
 # -- 6: initial-data limit -----------------------------------------------------
 
 def test_06_initial_data_limit():
@@ -138,3 +176,15 @@ def test_06_initial_data_limit():
         _report(f"06 u_hat monotone xi={xi:+.0f}", errs[-1], 5e-2,
                 f"{errs[0]:.2e} >= {errs[1]:.2e} >= {errs[2]:.2e}")
         assert errs[0] >= errs[1] >= errs[2]
+
+
+# -- 9, 10: stationary-point identity and parametrix decay -------------------
+
+@pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
+def test_09_stationary_identity(pair):
+    _assert_check("rh-checks", pair, "rh.stationary_identity")
+
+
+@pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
+def test_10_parametrix_decay(pair):
+    _assert_check("rh-checks", pair, "rh.parametrix_decay_slope")
