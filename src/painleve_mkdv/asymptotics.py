@@ -41,8 +41,9 @@ def psi_tilde(s, c: ConnectionConstants):
     PsiTilde'(s) = s^{1/2} - (3/4) d^2 / s.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         raise DomainError("psi_tilde requires s > 0")
+    s = s[()]  # a scalar as a numpy scalar: arithmetic on 0-d arrays is slower
     d2 = c.d * c.d
     value = (2.0 / 3.0) * s ** 1.5 - 0.75 * d2 * np.log(s) + c.phi
     deriv = np.sqrt(s) - 0.75 * d2 / s
@@ -66,9 +67,7 @@ def v_neg_asym(x, p: ASParams, c: ConnectionConstants, include_alpha_term: bool 
     if np.any(x >= 0.0):
         raise DomainError("v_neg_asym requires x < 0")
     s = -x
-    d2 = c.d * c.d
-    psi = (2.0 / 3.0) * s ** 1.5 - 0.75 * d2 * np.log(s) + c.phi
-    dpsi = np.sqrt(s) - 0.75 * d2 / s
+    psi, dpsi = psi_tilde(s, c)
     cos_psi = np.cos(psi)
     sin_psi = np.sin(psi)
     amp = c.d * s ** -0.25

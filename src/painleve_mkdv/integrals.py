@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
+from .asymptotics import psi_tilde
 from .errors import DomainError
 from .pii import AblowitzSegurSolution, tuned_solution
 from .stokes import ASParams, ConnectionConstants, _edge_cosine
@@ -90,10 +91,8 @@ def _core_quadrature(sol: AblowitzSegurSolution, x_lo: float, x_hi: float,
 
 
 def _psi_pieces(c: ConnectionConstants, s: float):
-    d2 = c.d * c.d
-    psi = (2.0 / 3.0) * s ** 1.5 - 0.75 * d2 * math.log(s) + c.phi
-    dpsi = math.sqrt(s) - 0.75 * d2 / s
-    ddpsi = 0.5 / math.sqrt(s) + 0.75 * d2 / (s * s)
+    psi, dpsi = psi_tilde(s, c)
+    ddpsi = 0.5 / math.sqrt(s) + 0.75 * (c.d * c.d) / (s * s)
     return psi, dpsi, ddpsi
 
 

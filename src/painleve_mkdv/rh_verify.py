@@ -22,14 +22,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (BranchCutError, DegenerateParamsError, DomainError,
                      QuadratureError, SectorBoundaryError)
 from .specfun import pcf_d
-from .stokes import (ASParams, connection_constants, h_factors, rh_constants,
+from .stokes import (ASParams, connection_constants, rh_constants,
                      stokes_triple)
 
 __all__ = [
@@ -234,64 +233,30 @@ def _z_sector(w: complex) -> int:
     return 4
 
 
-def _z_base(nu: complex, w: complex) -> np.ndarray:
-    # base-sector matrix built on D_{-nu-1}(iw) and D_nu(w)
-    v1, d1 = pcf_d(-nu - 1.0, 1j * w)
-    v2, d2 = pcf_d(nu, w)
-    col_phase = cmath.exp(0.5j * math.pi * (nu + 1.0))
-    return np.array([
-        [_SQRT_HALF * v1 * col_phase, _SQRT_HALF * v2],
-        [_SQRT_TWO * 1j * d1 * col_phase, _SQRT_TWO * d2],
-    ], dtype=complex)
-
-
-def _z_product(nu: complex, w: complex, sector: int) -> np.ndarray:
-    # recurrence form: safe only while no exponential scale separation
-    h0, h1 = h_factors(nu)
-    connections = (
-        np.array([[1.0, 0.0], [h0, 1.0]], dtype=complex),
-        np.array([[1.0, h1], [0.0, 1.0]], dtype=complex),
-        np.array([[1.0, 0.0], [-h0 * cmath.exp(-2j * math.pi * nu), 1.0]], dtype=complex),
-        np.array([[1.0, -h1 * cmath.exp(2j * math.pi * nu)], [0.0, 1.0]], dtype=complex),
-    )
-    z = _z_base(nu, w)
-    for j in range(sector):
-        z = z @ connections[j]
-    return z
-
-
-# Per sector: (rotation for the recessive column rot_r with D_nu, rotation for
-# the growing column rot_g with D_{-nu-1}), both chosen inside the |arg| <
-# 3pi/4 validity cone of the respective large-w behavior.
+# Per sector: (rotation rot_r of the recessive column with D_nu, rotation
+# rot_g of the growing column with D_{-nu-1}, both inside the |arg| < 3pi/4
+# validity cone of the respective large-w behavior, and powers g, r of
+# E = e^{i pi nu/2}).  The reflection formulas of D_nu (DLMF 12.2) turn the
+# unipotent products into rot_g E^g D_{-nu-1}(rot_g w) and E^r D_nu(rot_r w).
 _SECTOR_BASIS = {
-    0: (1.0, 1.0j),
-    1: (1.0, -1.0j),
-    2: (-1.0, -1.0j),
-    3: (-1.0, 1.0j),
-    4: (1.0, 1.0j),
+    0: (1.0, 1.0j, 1, 0),
+    1: (1.0, -1.0j, -1, 0),
+    2: (-1.0, -1.0j, -1, 2),
+    3: (-1.0, 1.0j, -3, 2),
+    4: (1.0, 1.0j, -3, 4),
 }
-_SECTOR_MID = {0: -0.125 * math.pi, 1: 0.25 * math.pi, 2: 0.75 * math.pi,
-               3: 1.25 * math.pi, 4: 1.625 * math.pi}
-
-
-def _basis_entries(nu: complex, w: complex, sector: int) -> tuple[complex, ...]:
-    # carries the same 2^{-sigma3/2} row scaling as the recurrence form, so
-    # the connection coefficients inherit the diagonal structure; entries in
-    # row-major order
-    rot_r, rot_g = _SECTOR_BASIS[sector]
-    vg, dg = pcf_d(-nu - 1.0, rot_g * w)
-    vr, dr = pcf_d(nu, rot_r * w)
-    return (_SQRT_HALF * vg, _SQRT_HALF * vr,
-            _SQRT_TWO * rot_g * dg, _SQRT_TWO * rot_r * dr)
 
 
 def _z_entries(nu: complex, w: complex) -> tuple[complex, ...]:
-    # basis times calibration in Python complex arithmetic, row-major
-    sector = _z_sector(w)
-    b00, b01, b10, b11 = _basis_entries(nu, w, sector)
-    c00, c01, c10, c11 = _z_calibration(nu, sector)
-    return (b00 * c00 + b01 * c10, b00 * c01 + b01 * c11,
-            b10 * c00 + b11 * c10, b10 * c01 + b11 * c11)
+    # row-major; the rows carry the scaling 2^{-sigma3/2}
+    rot_r, rot_g, g, r = _SECTOR_BASIS[_z_sector(w)]
+    e = cmath.exp(0.5j * math.pi * nu)
+    cg = rot_g * e ** g
+    cr = e ** r
+    vg, dg = pcf_d(-nu - 1.0, rot_g * w)
+    vr, dr = pcf_d(nu, rot_r * w)
+    return (_SQRT_HALF * cg * vg, _SQRT_HALF * cr * vr,
+            _SQRT_TWO * cg * rot_g * dg, _SQRT_TWO * cr * rot_r * dr)
 
 
 def z_parametrix(nu: complex, w: complex) -> np.ndarray:
@@ -301,35 +266,11 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
     boundary ray of the chain multiplies by a unipotent factor, so
     det Z == -1 everywhere.  Numerically the unipotent products mix columns
     of opposite exponential scale (a 2 Re(w^2)/4-digit cancellation at large
-    |w|), so each sector instead uses a basis of functions recessive/growing
-    *in that sector*, glued to the recurrence form by constant matrices
-    calibrated once per nu at small |w|.
+    |w|), so each sector instead writes every column as one function
+    recessive or growing *in that sector*, times an exact constant.
     """
     z00, z01, z10, z11 = _z_entries(nu, complex(w))
     return np.array([[z00, z01], [z10, z11]], dtype=complex)
-
-
-@lru_cache(maxsize=160)  # 32 orders (as many as profiles cached) x 5 sectors
-def _z_calibration(nu: complex, sector: int) -> tuple[complex, ...]:
-    """Constant matrix gluing the sector basis to the recurrence form, as
-    its four entries in row-major order."""
-    w_cal = 1.5 * cmath.exp(1j * _SECTOR_MID[sector])
-    ref = _z_product(nu, w_cal, sector)
-    base = np.reshape(_basis_entries(nu, w_cal, sector), (2, 2))
-    coeff = np.linalg.solve(base, ref)
-    # Structural zeros: a column with recessive asymptotics somewhere in
-    # the (closed) sector is a multiple of the unique recessive solution
-    # there, so its coefficient on the other basis function vanishes
-    # identically.  Calibration noise in those entries would be blown up
-    # by e^{|Re w^2|/2} at large |w|, so they are clamped exactly.
-    scale = np.max(np.abs(coeff))
-    if abs(coeff[1, 0]) > 1e-6 * scale or \
-            (sector < 4 and abs(coeff[0, 1]) > 1e-6 * scale):
-        raise QuadratureError("sector calibration lost its structural zeros")
-    coeff[1, 0] = 0.0
-    if sector < 4:
-        coeff[0, 1] = 0.0
-    return tuple(coeff.ravel().tolist())
 
 
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
@@ -363,9 +304,13 @@ def t_left_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
 
 def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray:
     """First-order prediction I + t^{-1/2} F + t^{-1} G for T N^{-1} on the
-    circle about +1/2 (side='right') or -1/2 (side='left')."""
+    circle about +1/2 (side='right') or, mirrored as sigma2 m_pred(-z)
+    sigma2, about -1/2 (side='left')."""
     if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
+    z = complex(z)
+    if side == "left":
+        return SIGMA2 @ m_pred(p, t, -z, "right") @ SIGMA2
     if not t > 0.0:
         raise DomainError("t must be positive")
     rc = rh_constants(p)
@@ -373,21 +318,13 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     if nu == 0:
         return np.eye(2, dtype=complex)
     s3 = stokes_triple(p).s3
-    z = complex(z)
-    zr = z if side == "right" else -z
-    zeta = phase_maps(zr)[2]
-    beta = beta_fn(zr, t, nu)
+    zeta = phase_maps(z)[2]
+    beta = beta_fn(z, t, nu)
     osc = cmath.exp(2j * t / 3.0)
-    if side == "right":
-        f12 = -(nu * s3 / rc.h1) * osc * beta ** 2 / zeta
-        f21 = -(rc.h1 / s3) / osc * beta ** -2 / zeta
-        g11 = nu * (nu + 1.0) / (2.0 * zeta ** 2)
-        g22 = -nu * (nu - 1.0) / (2.0 * zeta ** 2)
-    else:
-        f12 = (rc.h1 / s3) / osc * beta ** -2 / zeta
-        f21 = (nu * s3 / rc.h1) * osc * beta ** 2 / zeta
-        g11 = -nu * (nu - 1.0) / (2.0 * zeta ** 2)
-        g22 = nu * (nu + 1.0) / (2.0 * zeta ** 2)
+    f12 = -(nu * s3 / rc.h1) * osc * beta ** 2 / zeta
+    f21 = -(rc.h1 / s3) / osc * beta ** -2 / zeta
+    g11 = nu * (nu + 1.0) / (2.0 * zeta ** 2)
+    g22 = -nu * (nu - 1.0) / (2.0 * zeta ** 2)
     out = np.eye(2, dtype=complex)
     out[0, 1] = f12 / math.sqrt(t)
     out[1, 0] = f21 / math.sqrt(t)
