@@ -43,7 +43,6 @@ def psi_tilde(s, c: ConnectionConstants):
     s = np.asarray(s, dtype=float)
     if (s <= 0.0).any():
         raise DomainError("psi_tilde requires s > 0")
-    s = s[()]  # a scalar as a numpy scalar: arithmetic on 0-d arrays is slower
     d2 = c.d * c.d
     value = (2.0 / 3.0) * s ** 1.5 - 0.75 * d2 * np.log(s) + c.phi
     deriv = np.sqrt(s) - 0.75 * d2 / s

@@ -261,23 +261,21 @@ def emit_grid(opts: dict) -> str:
     sol = tuned_solution(p)
     v, vp = sol.v(xs)
     c = sol.connection
-    fmt = "%.17g"
+    # one array call per model column; "nan" marks rows outside a model
+    osc = np.full_like(xs, np.nan)
+    r_full = np.full_like(xs, np.nan)
+    neg = xs <= -1.0
+    if c is not None:
+        osc[neg] = v_neg_asym(xs[neg], p, c, include_alpha_term=False)[0]
+        r_full[neg] = np.abs(v[neg] - osc[neg] - p.alpha / xs[neg])
+    pos = np.full_like(xs, np.nan)
+    right = xs >= 1.0
+    pos[right] = v_pos_asym(xs[right], p.alpha)[0]
     lines = [f"# painleve-mkdv {__version__} alpha={p.alpha:.17g} k={p.k:.17g} "
              f"x_lo={x_lo:.17g} x_hi={x_hi:.17g} step={step:.17g}",
              "x,v,v_prime,v_neg_asym,v_pos_asym,residual_osc,residual_full"]
-    for i, x in enumerate(xs):
-        if x <= -1.0 and c is not None:
-            osc = v_neg_asym(x, p, c, include_alpha_term=False)[0]
-            r_osc = abs(v[i] - osc)
-            r_full = abs(v[i] - osc - p.alpha / x)
-            neg_txt = fmt % osc
-            r_osc_txt = fmt % r_osc
-            r_full_txt = fmt % r_full
-        else:
-            neg_txt = r_osc_txt = r_full_txt = "nan"
-        pos_txt = fmt % v_pos_asym(x, p.alpha)[0] if x >= 1.0 else "nan"
-        lines.append(",".join([fmt % x, fmt % v[i], fmt % vp[i],
-                               neg_txt, pos_txt, r_osc_txt, r_full_txt]))
+    columns = (xs, v, vp, osc, pos, np.abs(v - osc), r_full)
+    lines.extend(",".join("%.17g" % val for val in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 

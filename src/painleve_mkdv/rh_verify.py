@@ -168,13 +168,11 @@ def residue_check_origin(circle: ContourCircle, nu: complex) -> complex:
     return _circle_integral(integrand, circle)
 
 
-def _default_stationary_circles() -> tuple[ContourCircle, ContourCircle]:
-    return (ContourCircle(0.5, 0.15), ContourCircle(-0.5, 0.15))
+# the circles about +1/2 and -1/2 of the stationary-point identity
+_STATIONARY_CIRCLES = (ContourCircle(0.5, 0.15), ContourCircle(-0.5, 0.15))
 
 
-def stationary_identity(p: ASParams, t: float,
-                        circles: tuple[ContourCircle, ContourCircle] | None = None
-                        ) -> tuple[complex, complex]:
+def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
     """Both sides of the stationary-point contour identity.
 
     lhs: the weighted clockwise integrals of beta^{+-2}/zeta over the circles
@@ -185,9 +183,6 @@ def stationary_identity(p: ASParams, t: float,
         raise DomainError("stationary identity requires t > 0")
     if p.degenerate:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    c_plus, c_minus = circles if circles is not None else _default_stationary_circles()
-    if c_plus.center != 0.5 or c_minus.center != -0.5:
-        raise DomainError("circles must be centered at +1/2 and -1/2")
     rc = rh_constants(p)
     cc = connection_constants(p)
     s3 = stokes_triple(p).s3
@@ -199,6 +194,7 @@ def stationary_identity(p: ASParams, t: float,
     def f_minus(zs):
         return beta_fn(-zs, t, nu) ** -2 / phase_maps(-zs)[2]
 
+    c_plus, c_minus = _STATIONARY_CIRCLES
     i_plus = _circle_integral(f_plus, c_plus)
     i_minus = _circle_integral(f_minus, c_minus)
     lhs = (-t ** -0.5 * (nu * s3 / rc.h1) * cmath.exp(2j * t / 3.0) * i_plus

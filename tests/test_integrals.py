@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import DomainError
-from painleve_mkdv.integrals import (TailPolicy, pv_total_integral,
+from painleve_mkdv.integrals import (TailPolicy, _power_tail, pv_total_integral,
                                      total_integral_formula, v_hat)
+from painleve_mkdv.pii import tuned_solution
 from painleve_mkdv.stokes import make_params
 
 
@@ -75,6 +76,35 @@ def test_pv_cutoff_invariance(sol_0_05):
     vals = [pv_total_integral(p, TailPolicy(cutoff=x), solution=sol_0_05)
             for x in (40.0, 60.0, 80.0)]
     assert max(vals) - min(vals) < 2e-3
+
+
+@pytest.mark.parametrize("power", [2.5, 4.0])
+def test_power_tail_matches_mpmath(power):
+    # F(p; xi) = int_X^inf s^{-p} e^{i xi s} ds = X^{1-p} E_p(-i xi X);
+    # measured worst relative error 3.5e-11, at |xi| = 1
+    x_cut = 60.0
+    for xi in (1e-3, 0.0144, 0.067, 0.25, 1.0):
+        for x in (xi, -xi):
+            got = _power_tail(power, x, x_cut)
+            with mp.workdps(30):
+                ref = complex(mp.mpf(x_cut) ** (1 - mp.mpf(power))
+                              * mp.expint(mp.mpf(power), -1j * mp.mpf(x) * x_cut))
+            assert abs(got - ref) <= 1e-10 * abs(ref)
+        assert _power_tail(power, -xi, x_cut) == _power_tail(power, xi, x_cut).conjugate()
+    assert _power_tail(power, 0.0, x_cut) == x_cut ** (1.0 - power) / (power - 1.0)
+
+
+@pytest.mark.parametrize("pair", [(0.4, 0.155), (-0.3, -0.4)])
+def test_pv_error_flat_in_cutoff(pair):
+    # with every row of the launch expansion in the left tail, what is left
+    # of the error is the evaluator's right-model floor, whatever X is.
+    # Measured spreads over X = 30, 60, 120: 2.5e-5 and 3e-6 (3.9e-3 and
+    # 1.8e-3 with the leading row alone by parts)
+    p = make_params(*pair)
+    sol = tuned_solution(p)
+    errs = [pv_total_integral(p, TailPolicy(cutoff=x), solution=sol)
+            - total_integral_formula(p) for x in (30.0, 60.0, 120.0)]
+    assert max(errs) - min(errs) < 1e-4
 
 
 def test_v_hat_validation(sol_0_05):
