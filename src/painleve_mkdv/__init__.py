@@ -5,7 +5,7 @@ Riemann-Hilbert parametrix identities behind them.
 """
 
 from .asymptotics import psi_tilde, v_neg_asym, v_pos_asym
-from .integrals import TailPolicy, pv_total_integral, total_integral_formula, v_hat
+from .integrals import pv_total_integral, total_integral_formula, v_hat
 from .mkdv import InitialDataCoefficients, SelfSimilarField, ab_to_params, u_hat
 from .pii import (fit_oscillation, solve_left_launch,
                   solve_right_launch_homogeneous, tuned_solution)
@@ -21,7 +21,6 @@ __all__ = [
     "RHConstants",
     "InitialDataCoefficients",
     "SelfSimilarField",
-    "TailPolicy",
     "make_params",
     "stokes_triple",
     "connection_constants",

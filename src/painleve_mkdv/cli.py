@@ -25,7 +25,7 @@ from . import __version__
 from .asymptotics import (loglog_slope, remainder_envelope, v_neg_asym,
                           v_pos_asym)
 from .errors import ConfigError, PainleveError
-from .integrals import TailPolicy, pv_total_integral, total_integral_formula, v_hat
+from .integrals import pv_total_integral, total_integral_formula, v_hat
 from .mkdv import (InitialDataCoefficients, SelfSimilarField, ab_to_params,
                    pde_residual_closure, pde_residual_fd, u_hat)
 from .pii import solve_right_launch_homogeneous, fit_oscillation, tuned_solution
@@ -172,7 +172,7 @@ def _suite_connection(opts) -> Iterator[tuple]:
 
 def _suite_total_integral(opts) -> Iterator[tuple]:
     p = opts["params"]
-    got = pv_total_integral(p, TailPolicy(cutoff=opts.get("cutoff", 60.0)))
+    got = pv_total_integral(p, opts.get("cutoff", 60.0))
     yield "total_integral.formula", got, total_integral_formula(p), opts.get("tol", 1e-3)
 
 

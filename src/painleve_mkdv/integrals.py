@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import fresnel, itairy, sici
@@ -28,23 +27,10 @@ from .pii import AblowitzSegurSolution, tuned_solution
 from .stokes import ASParams, ConnectionConstants, _edge_cosine
 
 __all__ = [
-    "TailPolicy",
     "total_integral_formula",
     "pv_total_integral",
     "v_hat",
 ]
-
-
-@dataclass(frozen=True)
-class TailPolicy:
-    """Cutoff X >= 20 for the quadrature core; beyond it the tails are
-    summed from the expansions (oscillatory rows by parts, two levels)."""
-
-    cutoff: float = 60.0
-
-    def __post_init__(self):
-        if not self.cutoff >= 20.0:
-            raise DomainError("tail cutoff must be >= 20")
 
 
 def total_integral_formula(p: ASParams) -> float:
@@ -174,16 +160,17 @@ def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
     return value, est
 
 
-def _symmetric_transform(p: ASParams, xi: float, policy: TailPolicy | None,
+def _symmetric_transform(p: ASParams, xi: float, x_cut: float,
                          tol: float, solution: AblowitzSegurSolution | None
                          ) -> complex:
-    """int v(x) e^{-i xi x} dx in the symmetric-limit sense: core plus
-    tails, warning when the estimate of what they omit exceeds ``tol``."""
+    """int v(x) e^{-i xi x} dx in the symmetric-limit sense: the quadrature
+    core on [-x_cut, x_cut] plus the tails, warning when the estimate of
+    what they omit exceeds ``tol``."""
+    if not x_cut >= 20.0:
+        raise DomainError("tail cutoff must be >= 20")
     if p.degenerate:
         return 0.0 + 0.0j
-    policy = policy or TailPolicy()
     sol = solution if solution is not None else tuned_solution(p)
-    x_cut = policy.cutoff
     tails, est = _tails(p, sol.connection, x_cut, xi, sol.x_match)
     value = _core_quadrature(sol, -x_cut, x_cut, xi) + tails
     if xi != 0.0:
@@ -196,27 +183,27 @@ def _symmetric_transform(p: ASParams, xi: float, policy: TailPolicy | None,
     return value
 
 
-def pv_total_integral(p: ASParams, policy: TailPolicy | None = None,
-                      tol: float = 1e-3,
+def pv_total_integral(p: ASParams, cutoff: float = 60.0, tol: float = 1e-3,
                       solution: AblowitzSegurSolution | None = None) -> float:
     """Principal-value integral of v over the real line (symmetric limit).
 
-    Warns when the estimated uncomputed remainder exceeds ``tol``.
+    Quadrature on [-cutoff, cutoff] (cutoff >= 20), the tails beyond it
+    summed from the expansions.  Warns when the estimated uncomputed
+    remainder exceeds ``tol``.
     """
-    return _symmetric_transform(p, 0.0, policy, tol, solution).real
+    return _symmetric_transform(p, 0.0, cutoff, tol, solution).real
 
 
-def v_hat(p: ASParams, xi: float, policy: TailPolicy | None = None,
-          tol: float = 1e-2,
+def v_hat(p: ASParams, xi: float, tol: float = 1e-2,
           solution: AblowitzSegurSolution | None = None) -> complex:
     """Fourier transform vhat(xi) = int v(x) e^{-i xi x} dx, symmetric-limit
     sense, for 0 < |xi| <= 1.
 
-    Built from the quadrature core, the sine-integral closed form of the
-    alpha/x tails and the expansion tails (warning when the estimate of
-    what they omit exceeds ``tol``).
+    Built from the quadrature core on [-60, 60], the sine-integral closed
+    form of the alpha/x tails and the expansion tails (warning when the
+    estimate of what they omit exceeds ``tol``).
     """
     xi = float(xi)
     if xi == 0.0 or abs(xi) > 1.0:
         raise DomainError("v_hat requires 0 < |xi| <= 1")
-    return _symmetric_transform(p, xi, policy, tol, solution)
+    return _symmetric_transform(p, xi, 60.0, tol, solution)

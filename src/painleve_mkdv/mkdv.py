@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridRangeError
-from .integrals import TailPolicy, v_hat
+from .integrals import v_hat
 from .pii import AblowitzSegurSolution, tuned_solution
 from .stokes import ASParams, _edge_cosine, make_params
 
@@ -80,12 +80,10 @@ class SelfSimilarField:
         return u
 
 
-def u_hat(field: SelfSimilarField, xi: float,
-          policy: TailPolicy | None = None) -> complex:
+def u_hat(field: SelfSimilarField, xi: float) -> complex:
     """uhat(t, xi) = -2 vhat(xi (3t)^{1/3}) under the e^{-i xi x} convention."""
     xi_scaled = xi * (3.0 * field.t) ** (1.0 / 3.0)
-    return -2.0 * v_hat(field.params, xi_scaled, policy=policy,
-                        solution=field.solution)
+    return -2.0 * v_hat(field.params, xi_scaled, solution=field.solution)
 
 
 def _y_window_check(field: SelfSimilarField, xs: np.ndarray, t: float):

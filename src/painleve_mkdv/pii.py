@@ -6,8 +6,9 @@ on the real line.  Trajectories are launched from the oscillatory region
 (or, for alpha = 0, from the Airy-decay region on the right) with initial
 data taken from the asymptotic models, and integrated with an adaptive
 high-order embedded Runge-Kutta method with dense output.  A nonlinear
-least-squares fit of the oscillatory tail provides an independent read-back
-of the connection constants (d, phi).
+least-squares fit of the launch expansion (``v_neg_launch``) to a profile
+reads the connection constants (d, phi) back; on an Airy-seeded right
+launch that read-back is independent of the connection formulas.
 
 The integrator is DOP853 written out for the 2-state system (v, v') on
 Python floats.  Its tableau is scipy's (``scipy.integrate._ivp.
@@ -23,8 +24,9 @@ and the interpolants are scipy's ``Dop853DenseOutput`` inside a public
 The one evaluator, ``tuned_solution(p)``, is a cached
 ``AblowitzSegurSolution``: a single left launch from x = -240, seeded from
 the oscillatory expansion through s^{-13/4}, with dense output on
-[-240, 4] and the asymptotic models beyond.  Its seam at x = 4 is the
-truncation floor of the decaying model there, below 5e-3 for d up to 1.5.
+[-240, 4]; left of -240 it is that expansion and right of 4 the decaying
+model.  Its seam at x = 4 is the truncation floor of the decaying model
+there, below 5e-3 for d up to 1.5.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import least_squares
 
-from .asymptotics import v_neg_asym, v_neg_launch, v_pos_asym
+from .asymptotics import psi_tilde, v_neg_launch, v_pos_asym
 from .errors import (BlowupError, DomainError, FitConvergenceError,
                      GridRangeError)
 from .specfun import airy_ai
-from .stokes import ASParams, connection_constants, reduce_angle
+from .stokes import (ASParams, ConnectionConstants, connection_constants,
+                     reduce_angle)
 
 __all__ = [
     "pii_rhs",
@@ -314,11 +317,13 @@ def solve_right_launch_homogeneous(k: float, x_start: float = 12.0,
 
 def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
                     alpha: float) -> tuple[float, float]:
-    """Recover (d, phi) by least squares against the oscillatory tail model.
+    """Recover (d, phi) by least squares against the launch expansion
+    ``v_neg_launch``, the model the left launches are seeded from.
 
     The window must lie on the negative axis, be covered by the grid, and
-    span at least three oscillation periods.  Initial guesses come from the
-    s^{1/4}-rescaled envelope and a coarse phase scan.
+    span at least three oscillation periods.  The starting point is linear:
+    d0 from the s^{1/4}-rescaled envelope, then (d cos phi, -d sin phi) by
+    linear least squares on s^{-1/4} (cos, sin) of PsiTilde at d0.
     """
     x_lo, x_hi = float(window[0]), float(window[1])
     if not (x_lo < x_hi < 0.0):
@@ -332,25 +337,23 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     xs = np.linspace(x_lo, x_hi, n)
     data = grid.evaluate(xs)[0]
     s = -xs
-    background = alpha / xs
-    resid0 = data - background
+    resid0 = data - alpha / xs
     d0 = float(np.max(np.abs(resid0) * s ** 0.25))
     if d0 == 0.0:
         return 0.0, 0.0
+    psi0 = psi_tilde(s, ConnectionConstants(d0, 0.0))[0]
+    basis = s[:, None] ** -0.25 * np.column_stack((np.cos(psi0), np.sin(psi0)))
+    a, b = np.linalg.lstsq(basis, resid0, rcond=None)[0]
+    p = ASParams(alpha, 0.0)
 
     def model_resid(theta):
-        d, phi = theta
-        psi = (2.0 / 3.0) * s ** 1.5 - 0.75 * d * d * np.log(s) + phi
-        return d * s ** -0.25 * np.cos(psi) + background - data
+        return v_neg_launch(xs, p, ConnectionConstants(*theta))[0] - data
 
-    best_phi, best_cost = 0.0, math.inf
-    for phi_try in np.linspace(-math.pi, math.pi, 64, endpoint=False):
-        cost = float(np.sum(model_resid((d0, phi_try)) ** 2))
-        if cost < best_cost:
-            best_phi, best_cost = phi_try, cost
-    res = least_squares(model_resid, (d0, best_phi),
+    # tolerances 1e-12: the fit is good to ~1e-10 at best, and tighter ones
+    # only add iterations that move (d, phi) by < 1e-12
+    res = least_squares(model_resid, (math.hypot(a, b), math.atan2(-b, a)),
                         bounds=((0.0, -2.0 * math.pi), (np.inf, 2.0 * math.pi)),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=_FIT_MAX_NFEV)
+                        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=_FIT_MAX_NFEV)
     if not res.success or not np.all(np.isfinite(res.x)):
         raise FitConvergenceError(f"oscillation fit did not converge: {res.message}")
     d_fit, phi_fit = res.x
@@ -360,12 +363,13 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
 class AblowitzSegurSolution:
     """Piecewise evaluator for v(x; alpha, k) over the whole real line.
 
-    Left of the dense window [x_left, x_match] = [-240, 4] the oscillatory
-    model is used, on it the dense output of one left launch from x_left
-    (``solve_left_launch``, seeded from the expansion through s^{-13/4}),
-    and right of x_match the decaying model.  The jump at the right seam is
-    recorded at construction time; it sits at the truncation floor of the
-    decaying model there (~3e-4 to ~1e-3 for the acceptance pairs).
+    On the dense window [x_left, x_match] = [-240, 4] it is the dense output
+    of one left launch from x_left (``solve_left_launch``), left of x_left
+    the launch expansion through s^{-13/4} that seeds it (``v_neg_launch``),
+    so the profile is continuous there, and right of x_match the decaying
+    model.  The jump at the right seam is recorded at construction time; it
+    sits at the truncation floor of the decaying model there (~3e-4 to
+    ~1e-3 for the acceptance pairs).
     """
 
     x_left = -240.0
@@ -393,8 +397,8 @@ class AblowitzSegurSolution:
             right = x_arr > self.x_match
             mid = ~(left | right)
             if np.any(left):
-                v[left], vp[left] = v_neg_asym(x_arr[left], self.params,
-                                               self.connection, True)
+                v[left], vp[left] = v_neg_launch(x_arr[left], self.params,
+                                                 self.connection)
             if np.any(mid):
                 v[mid], vp[mid] = self.grid.evaluate(x_arr[mid])
             if np.any(right):

@@ -107,12 +107,13 @@ def stokes_triple(p: ASParams) -> StokesTriple:
     return StokesTriple(complex(-s, -p.k), 0.0 + 0.0j, complex(-s, p.k))
 
 
-def _log_residue_argument(p: ASParams) -> float:
+def _d_squared(p: ASParams) -> float:
+    """d^2 = -ln(cos^2(pi alpha) - k^2) / pi."""
     # cos^2(pi alpha) - k^2 = 1 - s1*s3, real and in (0, 1] on the domain; the
     # product does not cancel as |k| -> cos(pi alpha), and it is positive
     # wherever make_params accepts k, since both use the same c
     c, k = _edge_cosine(p.alpha), abs(p.k)
-    return (c - k) * (c + k)
+    return -math.log((c - k) * (c + k)) / math.pi
 
 
 def connection_constants(p: ASParams) -> ConnectionConstants:
@@ -125,7 +126,7 @@ def connection_constants(p: ASParams) -> ConnectionConstants:
     """
     if p.degenerate:
         raise DegenerateParamsError("connection constants undefined at (0, 0): d = 0")
-    d2 = -math.log(_log_residue_argument(p)) / math.pi
+    d2 = _d_squared(p)
     if d2 == 0.0:
         # parameters so close to (0, 0) that d underflows; the oscillation
         # amplitude is numerically zero and phi is undefined
@@ -157,6 +158,6 @@ def rh_constants(p: ASParams) -> RHConstants:
     nu is purely imaginary (= -i d^2/2); h0, h1 are ``h_factors(nu)``, with
     h1 = 0 at the degenerate point nu = 0.
     """
-    d2 = -math.log(_log_residue_argument(p)) / math.pi
+    d2 = _d_squared(p)
     nu = complex(0.0, -0.5 * d2)
     return RHConstants(nu, *h_factors(nu))

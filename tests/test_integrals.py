@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import DomainError
-from painleve_mkdv.integrals import (TailPolicy, _power_tail, pv_total_integral,
+from painleve_mkdv.integrals import (_power_tail, pv_total_integral,
                                      total_integral_formula, v_hat)
 from painleve_mkdv.pii import tuned_solution
 from painleve_mkdv.stokes import make_params
@@ -55,9 +55,9 @@ def test_formula_near_the_edge():
     assert worst < 2e-4
 
 
-def test_tail_policy_validation():
+def test_pv_cutoff_validation():
     with pytest.raises(DomainError):
-        TailPolicy(cutoff=10.0)
+        pv_total_integral(make_params(0.0, 0.5), cutoff=10.0)
 
 
 def test_pv_degenerate():
@@ -73,7 +73,7 @@ def test_pv_matches_formula(sol_0_05, sol_025_03):
 
 def test_pv_cutoff_invariance(sol_0_05):
     p = sol_0_05.params
-    vals = [pv_total_integral(p, TailPolicy(cutoff=x), solution=sol_0_05)
+    vals = [pv_total_integral(p, x, solution=sol_0_05)
             for x in (40.0, 60.0, 80.0)]
     assert max(vals) - min(vals) < 2e-3
 
@@ -102,7 +102,7 @@ def test_pv_error_flat_in_cutoff(pair):
     # 1.8e-3 with the leading row alone by parts)
     p = make_params(*pair)
     sol = tuned_solution(p)
-    errs = [pv_total_integral(p, TailPolicy(cutoff=x), solution=sol)
+    errs = [pv_total_integral(p, x, solution=sol)
             - total_integral_formula(p) for x in (30.0, 60.0, 120.0)]
     assert max(errs) - min(errs) < 1e-4
 

@@ -9,13 +9,15 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 
 import painleve_mkdv.pii as pii
 from painleve_mkdv.asymptotics import v_neg_asym, v_neg_launch
-from painleve_mkdv.errors import (BlowupError, DomainError, GridRangeError)
+from painleve_mkdv.errors import (BlowupError, DomainError, FitConvergenceError,
+                                  GridRangeError)
 from painleve_mkdv.pii import (dense_residual, fit_oscillation, pii_rhs,
                                solve_left_launch,
                                solve_right_launch_homogeneous, tuned_solution,
                                _integrate, _max_step_for)
 from painleve_mkdv.specfun import airy_ai
-from painleve_mkdv.stokes import connection_constants, make_params
+from painleve_mkdv.stokes import (ASParams, ConnectionConstants,
+                                  connection_constants, make_params)
 
 
 def test_pii_rhs_values():
@@ -53,39 +55,36 @@ def test_two_launch_agreement_at_origin():
     assert diff < 2.0 * 40.0 ** -1.75 + 1e-6
 
 
-def test_right_launch_cross_validation():
+# k: bounds on the (d, phi) errors of the right-launch read-back, ~5x the
+# measured 1.9e-10 / 7.8e-9, 1.1e-9 / 5.5e-9, 7.7e-9 / 4.3e-8,
+# 8.5e-8 / 5.8e-7 and 4.6e-7 / 4.4e-6 at d = 0.17, 0.30, 0.73, 1.12, 1.41
+# (6.6e-6 / 3.7e-4 up to 4.2e-3 / 4.1e-2 fitting the leading model)
+_READ_BACK_BOUNDS = {0.3: (1e-9, 4e-8), 0.5: (5e-9, 3e-8), 0.9: (4e-8, 2e-7),
+                     0.99: (4e-7, 3e-6), 0.999: (2.5e-6, 2.5e-5)}
+
+
+@pytest.mark.parametrize("k", sorted(_READ_BACK_BOUNDS))
+def test_right_launch_read_back_near_the_edge(k):
     # independent read-back of the connection constants (alpha = 0 family)
-    grid = solve_right_launch_homogeneous(0.5, 12.0, -60.0, 1e-11)
+    d_bound, phi_bound = _READ_BACK_BOUNDS[k]
+    grid = solve_right_launch_homogeneous(k, 12.0, -60.0, 1e-11)
     d_fit, phi_fit = fit_oscillation(grid, (-60.0, -30.0), 0.0)
-    c = connection_constants(make_params(0.0, 0.5))
-    assert abs(d_fit - c.d) < 1e-2
-    assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) < 5e-2
-
-
-def test_near_boundary_probe_degrades():
-    # approaching |k| = 1 the Airy seed mis-scales; the fit error grows by
-    # orders of magnitude relative to k = 0.5 (measured ~4e-3 vs ~4e-5)
-    grid = solve_right_launch_homogeneous(0.999, 12.0, -60.0, 1e-10)
-    d_fit, _ = fit_oscillation(grid, (-60.0, -30.0), 0.0)
-    d_true = math.sqrt(-math.log(1.0 - 0.999 ** 2) / math.pi)
-    assert abs(d_fit - d_true) > 5e-4
+    c = connection_constants(make_params(0.0, k))
+    assert abs(d_fit - c.d) < d_bound
+    assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) < phi_bound
 
 
 class _ModelGrid:
-    """Synthetic stand-in grid built from the oscillatory model itself."""
+    """Synthetic stand-in grid built from the launch expansion itself."""
 
     def __init__(self, d, phi, alpha):
-        self.d, self.phi, self.alpha = d, phi, alpha
+        self.p, self.c = ASParams(alpha, 0.0), ConnectionConstants(d, phi)
 
     def covers(self, x_lo, x_hi):
         return True
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        s = -x
-        psi = (2.0 / 3.0) * s ** 1.5 - 0.75 * self.d ** 2 * np.log(s) + self.phi
-        v = self.d * s ** -0.25 * np.cos(psi) + self.alpha / x
-        return v, np.zeros_like(v)
+        return v_neg_launch(x, self.p, self.c)
 
 
 def test_fit_oscillation_round_trip():
@@ -102,6 +101,12 @@ def test_fit_oscillation_window_validation():
     g = solve_left_launch(make_params(0.0, 0.3), -30.0, 4.0, 1e-8)
     with pytest.raises(GridRangeError):
         fit_oscillation(g, (-60.0, -35.0), 0.0)
+
+
+def test_fit_oscillation_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(pii, "_FIT_MAX_NFEV", 1)
+    with pytest.raises(FitConvergenceError):
+        fit_oscillation(_ModelGrid(0.3, 1.0, 0.0), (-60.0, -30.0), 0.0)
 
 
 def test_left_launch_self_consistency():
@@ -296,15 +301,22 @@ def test_evaluator_dispatch(sol_025_03):
     # far right: decaying model
     v10, _ = sol.v(10.0)
     assert v10 == pytest.approx(0.025046875, abs=5e-3)
-    # far left: oscillatory model
-    c = sol.connection
+    # far left: the launch expansion the grid is seeded from
     x = sol.x_left - 50.0
-    assert sol.v(x)[0] == pytest.approx(
-        v_neg_asym(x, sol.params, c, True)[0], abs=1e-15)
+    assert sol.v(x) == v_neg_launch(x, sol.params, sol.connection)
     # vector call mixes all three regions
     xs = np.array([sol.x_left - 10.0, -5.0, 0.0, sol.x_match + 3.0])
     v, vp = sol.v(xs)
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(vp))
+
+
+def test_evaluator_continuous_at_x_left(sol_025_03):
+    # the grid starts from v_neg_launch(x_left), so the two sides meet there
+    # (4.6e-6 in v with the leading model on the left)
+    sol = sol_025_03
+    outside = np.nextafter(sol.x_left, -np.inf)
+    for got, want in zip(sol.v(outside), sol.v(sol.x_left)):
+        assert abs(got - want) < 1e-12
 
 
 def test_tuned_seam_meets_contract(sol_0_05, sol_025_03):
