@@ -11,8 +11,10 @@ and the decaying model on x > 0 is v(x) ~ alpha/x + 2 alpha (1-alpha^2) x^{-4}.
 
 The leading oscillatory model is only the first two terms of the expansion
 v = s^{-1/4} sum_n s^{-3n/4} F_n(PsiTilde), whose later terms are fixed
-order by order by v_ss = -s v + 2 v^3 - alpha.  ``v_neg_launch`` carries it
-through s^{-13/4}; the left ODE launches take their initial data from it.
+order by order by v_ss = -s v + 2 v^3 - alpha.  One table of rows holds it
+through s^{-13/4}, row 0 being d s^{-1/4} cos PsiTilde; the n = 1 term
+alpha/x is added on its own.  ``v_neg_asym`` sums row 0, and
+``v_neg_launch``, the left launches' initial data, every row plus alpha/x.
 """
 
 from __future__ import annotations
@@ -56,34 +58,10 @@ def psi_stationary_threshold(d: float) -> float:
     return (0.75 * d * d) ** (2.0 / 3.0)
 
 
-def v_neg_asym(x, p: ASParams, c: ConnectionConstants, include_alpha_term: bool = True):
-    """Oscillatory model of v and its exact x-derivative for x < 0.
-
-    With s = -x:  v = d s^{-1/4} cos(PsiTilde(s)) [+ alpha/x], and
-    dv/dx = -d/ds of the model, chain rule through s = -x.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 0.0):
-        raise DomainError("v_neg_asym requires x < 0")
-    s = -x
-    psi, dpsi = psi_tilde(s, c)
-    cos_psi = np.cos(psi)
-    sin_psi = np.sin(psi)
-    amp = c.d * s ** -0.25
-    v = amp * cos_psi
-    # d/dx [amp cos psi] = -d/ds [...] = 0.25 d s^{-5/4} cos + amp sin * dpsi
-    v_prime = 0.25 * c.d * s ** -1.25 * cos_psi + amp * sin_psi * dpsi
-    if include_alpha_term:
-        v = v + p.alpha / x
-        v_prime = v_prime - p.alpha / (x * x)
-    if v.ndim == 0:
-        return float(v), float(v_prime)
-    return v, v_prime
-
-
-def _next_order_terms(d: float, alpha: float):
-    """Terms s^{-power} (C cos(m psi) + S sin(m psi)) of the oscillatory
-    expansion beyond ``v_neg_asym``, as rows (power, m, C, S).
+def _oscillatory_rows(d: float, alpha: float):
+    """The oscillatory expansion as rows (power, m, C, S), each the term
+    s^{-power} (C cos(m psi) + S sin(m psi)); row 0 is the leading model,
+    and the n = 1 term alpha/x is not a row.
 
     Substituting v = s^{-1/4} sum_n s^{-3n/4} F_n(psi) into
     v_ss = -s v + 2 v^3 - alpha gives F_n'' + F_n = (terms of lower n) at
@@ -97,6 +75,8 @@ def _next_order_terms(d: float, alpha: float):
     d3, d5 = d2 * d, d2 * d2 * d
     d7, d9 = d5 * d2, d5 * d2 * d2
     return (
+        # n = 0: s^{-1/4}, the leading model d s^{-1/4} cos psi
+        (0.25, 1, d, 0.0),
         # n = 2: s^{-7/4}
         (1.75, 1, 0.375 * d3, 5.0 / 48.0 * d - 17.0 / 32.0 * d5 - 2.0 * a2 * d),
         (1.75, 3, -d3 / 16.0, 0.0),
@@ -114,20 +94,19 @@ def _next_order_terms(d: float, alpha: float):
     )
 
 
-def v_neg_launch(x, p: ASParams, c: ConnectionConstants):
-    """Launch data (v, dv/dx) for x < 0: ``v_neg_asym`` (alpha/x included)
-    plus the expansion terms through s^{-13/4}, with the exact x-derivative.
-
-    The ODE residual of this model falls off as s^{-3} (s^{-15/4} for
-    alpha = 0), against s^{-3/4} for the leading model, so the launch-data
-    error left for the turning region to amplify is ~ s^{-4} instead of
-    ~ s^{-7/4}.
-    """
+def _sum_rows(x, p: ASParams, c: ConnectionConstants, n_rows: int | None,
+              include_alpha_term: bool):
+    """(v, dv/dx) of the first ``n_rows`` rows of ``_oscillatory_rows``
+    (all rows for None) [+ alpha/x], x < 0, with the exact x-derivative."""
     x = np.asarray(x, dtype=float)
-    v, v_prime = v_neg_asym(x, p, c, include_alpha_term=True)
+    if np.any(x >= 0.0):
+        raise DomainError("the oscillatory model requires x < 0")
     s = -x
     psi, dpsi = psi_tilde(s, c)
-    for power, m, cos_c, sin_c in _next_order_terms(c.d, p.alpha):
+    v = v_prime = 0.0
+    if include_alpha_term:
+        v, v_prime = p.alpha / x, -p.alpha / (x * x)
+    for power, m, cos_c, sin_c in _oscillatory_rows(c.d, p.alpha)[:n_rows]:
         cos_m, sin_m = np.cos(m * psi), np.sin(m * psi)
         f = cos_c * cos_m + sin_c * sin_m
         df = m * (sin_c * cos_m - cos_c * sin_m)
@@ -138,6 +117,25 @@ def v_neg_launch(x, p: ASParams, c: ConnectionConstants):
     if x.ndim == 0:
         return float(v), float(v_prime)
     return v, v_prime
+
+
+def v_neg_asym(x, p: ASParams, c: ConnectionConstants, include_alpha_term: bool = True):
+    """Leading oscillatory model of v and its exact x-derivative for x < 0:
+    row 0 of the expansion, v = d s^{-1/4} cos(PsiTilde(s)) [+ alpha/x]
+    with s = -x."""
+    return _sum_rows(x, p, c, 1, include_alpha_term)
+
+
+def v_neg_launch(x, p: ASParams, c: ConnectionConstants):
+    """Launch data (v, dv/dx) for x < 0: every row of the expansion, through
+    s^{-13/4}, plus alpha/x, with the exact x-derivative.
+
+    The ODE residual of this model falls off as s^{-3} (s^{-15/4} for
+    alpha = 0), against s^{-3/4} for the leading model, so the launch-data
+    error left for the turning region to amplify is ~ s^{-4} instead of
+    ~ s^{-7/4}.
+    """
+    return _sum_rows(x, p, c, None, True)
 
 
 def v_pos_asym(x, alpha: float):

@@ -162,9 +162,9 @@ def _suite_connection(opts) -> Iterator[tuple]:
         grid = solve_right_launch_homogeneous(p.k, 12.0, -60.0, 1e-11)
         d_fit, phi_fit = fit_oscillation(grid, (-60.0, -30.0), 0.0)
         c = connection_constants(p)
-        yield "connection.right_launch_d", d_fit, c.d, 1e-2
+        yield "connection.right_launch_d", d_fit, c.d, 1e-5
         dphi = abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi))
-        yield "connection.right_launch_phi", dphi, 0.0, 5e-2
+        yield "connection.right_launch_phi", dphi, 0.0, 1e-4
     if not p.degenerate:
         slope = loglog_slope(remainder_envelope(sol, True))
         yield "connection.remainder_slope", min(slope, -1.6), slope, 0.0

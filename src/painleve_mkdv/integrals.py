@@ -1,14 +1,14 @@
 """Principal-value total integral of v and its Fourier transform near xi = 0.
 
 A quadrature core on [-X, X] plus tails summed from the expansions the
-package carries: on the left the launch expansion (the leading row and
-``asymptotics._next_order_terms``), oscillatory rows by parts and zero
+package carries: on the left every row of the launch expansion's table
+(``asymptotics._oscillatory_rows``), oscillatory rows by parts and zero
 harmonics exactly; on the right the x^{-4} term of the decaying model.
 The alpha/x pieces cancel in the symmetric limit, and give a sine integral
-when xi != 0.  The estimate set against ``tol`` is the first order each
-model omits: the next by-parts level of every row, plus the x^{-7} term
-and the k Ai mode that the evaluator's decaying model drops on
-[x_match, inf).
+when xi != 0.  The estimate set against the tolerance (1e-3 for the total
+integral, 1e-2 for v_hat) is the first order each model omits: the next
+by-parts level of every row, plus the x^{-7} term and the k Ai mode that
+the evaluator's decaying model drops on [x_match, inf).
 
 Fourier convention (normative for the package): vhat(xi) = int v(x) e^{-i xi x} dx.
 """
@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 from scipy.special import fresnel, itairy, sici
 
-from .asymptotics import _next_order_terms, psi_tilde
+from .asymptotics import _oscillatory_rows, psi_tilde
 from .errors import DomainError
 from .pii import AblowitzSegurSolution, tuned_solution
 from .stokes import ASParams, ConnectionConstants, _edge_cosine
@@ -126,8 +126,9 @@ def _by_parts(amp: complex, power: float, s: float,
 def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
            x_match: float) -> tuple[complex, float]:
     """Both tails beyond the core, alpha/x excluded: the left
-    int_X^inf (v(-s) + alpha/s) e^{i xi s} ds over the rows of the launch
-    expansion, and the right a4 int_X^inf x^{-4} e^{-i xi x} dx.
+    int_X^inf (v(-s) + alpha/s) e^{i xi s} ds over the launch expansion's
+    table as it stands, row 0 (the leading model) included, and the right
+    a4 int_X^inf x^{-4} e^{-i xi x} dx.
 
     A row s^{-power} (C cos m psi + S sin m psi) with m > 0 splits into
     (C -/+ i S)/2 e^{+/- i m psi}, of phase derivative +/- m psi' + xi, each
@@ -145,8 +146,7 @@ def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
     a7 = a4 * (20.0 - 6.0 * p.alpha * p.alpha)
     est = (abs(a7) * x_match ** -6 / 6.0
            + abs(p.k) * (1.0 / 3.0 - float(itairy(x_match)[0])))
-    for power, m, cos_c, sin_c in ((0.25, 1, c.d, 0.0),
-                                   *_next_order_terms(c.d, p.alpha)):
+    for power, m, cos_c, sin_c in _oscillatory_rows(c.d, p.alpha):
         if m == 0:
             value += cos_c * _power_tail(power, xi, s)
             continue
@@ -183,27 +183,27 @@ def _symmetric_transform(p: ASParams, xi: float, x_cut: float,
     return value
 
 
-def pv_total_integral(p: ASParams, cutoff: float = 60.0, tol: float = 1e-3,
+def pv_total_integral(p: ASParams, cutoff: float = 60.0,
                       solution: AblowitzSegurSolution | None = None) -> float:
     """Principal-value integral of v over the real line (symmetric limit).
 
     Quadrature on [-cutoff, cutoff] (cutoff >= 20), the tails beyond it
     summed from the expansions.  Warns when the estimated uncomputed
-    remainder exceeds ``tol``.
+    remainder exceeds 1e-3.
     """
-    return _symmetric_transform(p, 0.0, cutoff, tol, solution).real
+    return _symmetric_transform(p, 0.0, cutoff, 1e-3, solution).real
 
 
-def v_hat(p: ASParams, xi: float, tol: float = 1e-2,
+def v_hat(p: ASParams, xi: float,
           solution: AblowitzSegurSolution | None = None) -> complex:
     """Fourier transform vhat(xi) = int v(x) e^{-i xi x} dx, symmetric-limit
     sense, for 0 < |xi| <= 1.
 
     Built from the quadrature core on [-60, 60], the sine-integral closed
     form of the alpha/x tails and the expansion tails (warning when the
-    estimate of what they omit exceeds ``tol``).
+    estimate of what they omit exceeds 1e-2).
     """
     xi = float(xi)
     if xi == 0.0 or abs(xi) > 1.0:
         raise DomainError("v_hat requires 0 < |xi| <= 1")
-    return _symmetric_transform(p, xi, 60.0, tol, solution)
+    return _symmetric_transform(p, xi, 60.0, 1e-2, solution)

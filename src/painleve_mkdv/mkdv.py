@@ -121,14 +121,14 @@ def pde_residual_fd(field: SelfSimilarField, window: tuple[float, float],
     return float(np.max(np.abs(resid)))
 
 
-def pde_residual_closure(field: SelfSimilarField, window: tuple[float, float],
-                         n_points: int = 201) -> float:
-    """Residual with all derivatives taken in closed form from (v, v') and
-    the profile ODE closure (v''' = v + y v' + 6 v^2 v'); identically zero up
-    to the accuracy of the stored states, so this guards the wiring."""
+def pde_residual_closure(field: SelfSimilarField, window: tuple[float, float]) -> float:
+    """Residual on 201 points of the window with all derivatives taken in
+    closed form from (v, v') and the profile ODE closure
+    (v''' = v + y v' + 6 v^2 v'); identically zero up to the accuracy of the
+    stored states, so this guards the wiring."""
     x_lo, x_hi = float(window[0]), float(window[1])
     t = field.t
-    xs = np.linspace(x_lo, x_hi, n_points)
+    xs = np.linspace(x_lo, x_hi, 201)
     _y_window_check(field, xs, t)
     scale = (3.0 * t) ** (-1.0 / 3.0)
     ys = xs * scale

@@ -63,7 +63,6 @@ __all__ = [
 BLOWUP_THRESHOLD = 1.0e6
 
 DEFAULT_TOL = 1.0e-10
-DEFAULT_X_LEFT = -60.0
 DEFAULT_X_MATCH = 4.0
 
 _FIT_MAX_NFEV = 200  # least-squares evaluation budget of fit_oscillation
@@ -86,7 +85,6 @@ class SolutionGrid:
     abscissas: np.ndarray
     states: np.ndarray
     launch_point: float
-    launch_side: str
     tolerance: float
     rejected_steps: int = 0  # accepted steps: len(abscissas) - 1
     rhs_evals: int = 0
@@ -205,7 +203,7 @@ def _dense_output(xs, ys, stages, alpha):
     return OdeSolution(t, list(map(Dop853DenseOutput, xs[:-1], xs[1:], y_old, f)))
 
 
-def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
+def _integrate(y0, x_start, x_end, alpha, tol):
     """DOP853 from x_start to x_end (either direction) with dense output;
     raises ``BlowupError`` at the first step that ends with |v| above
     ``BLOWUP_THRESHOLD``."""
@@ -263,18 +261,17 @@ def _integrate(y0, x_start, x_end, alpha, tol, launch_side):
         ys.extend((v, w))
     dense = _dense_output(xs, ys, stages, alpha)
     n = len(xs) - 1  # f: twice before the loop, 12 per attempt, 3 per interpolant
-    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2), float(x_start), launch_side,
-                        tol, n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, dense)
+    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2), float(x_start), tol,
+                        n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, dense)
 
 
-def _zero_grid(x_start, x_end, side, tol):
+def _zero_grid(x_start, x_end, tol):
     xs = np.array([x_start, x_end], dtype=float)
-    return SolutionGrid(xs, np.zeros((2, 2)), float(x_start), side, tol)
+    return SolutionGrid(xs, np.zeros((2, 2)), float(x_start), tol)
 
 
-def solve_left_launch(p: ASParams, x_start: float = DEFAULT_X_LEFT,
-                      x_end: float = DEFAULT_X_MATCH,
-                      tol: float = DEFAULT_TOL) -> SolutionGrid:
+def solve_left_launch(p: ASParams, x_start: float, x_end: float,
+                      tol: float) -> SolutionGrid:
     """Integrate rightward from the oscillatory region.
 
     Initial data comes from the oscillatory expansion through s^{-13/4}
@@ -289,15 +286,14 @@ def solve_left_launch(p: ASParams, x_start: float = DEFAULT_X_LEFT,
     if not (x_start < x_end <= 6.0):
         raise DomainError("left launch requires x_start < x_end <= 6")
     if p.degenerate:
-        return _zero_grid(x_start, x_end, "left", tol)
+        return _zero_grid(x_start, x_end, tol)
     c = connection_constants(p)
     y0 = v_neg_launch(x_start, p, c)
-    return _integrate(y0, x_start, x_end, p.alpha, tol, "left")
+    return _integrate(y0, x_start, x_end, p.alpha, tol)
 
 
-def solve_right_launch_homogeneous(k: float, x_start: float = 12.0,
-                                   x_end: float = DEFAULT_X_LEFT,
-                                   tol: float = DEFAULT_TOL) -> SolutionGrid:
+def solve_right_launch_homogeneous(k: float, x_start: float, x_end: float,
+                                   tol: float) -> SolutionGrid:
     """Integrate leftward from Airy-decay initial data (alpha = 0 family).
 
     Seeds (v, v') = k (Ai, Ai')(x_start); only valid for |k| < 1, and only
@@ -310,9 +306,9 @@ def solve_right_launch_homogeneous(k: float, x_start: float = 12.0,
     if x_end >= x_start:
         raise DomainError("right launch integrates leftward: x_end < x_start")
     if k == 0.0:
-        return _zero_grid(x_start, x_end, "right", tol)
+        return _zero_grid(x_start, x_end, tol)
     ai, aip = airy_ai(x_start)
-    return _integrate((k * ai, k * aip), x_start, x_end, 0.0, tol, "right")
+    return _integrate((k * ai, k * aip), x_start, x_end, 0.0, tol)
 
 
 def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],

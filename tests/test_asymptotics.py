@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painleve_mkdv.asymptotics import (_next_order_terms, loglog_slope,
+from painleve_mkdv.asymptotics import (_oscillatory_rows, loglog_slope,
                                        psi_stationary_threshold, psi_tilde,
                                        v_neg_asym, v_neg_launch, v_pos_asym)
 from painleve_mkdv.errors import DomainError
@@ -86,11 +86,11 @@ ACCEPTANCE_PAIRS = [
 
 
 def _oscillatory_model_mp(p, c, with_next_orders):
-    # the leading model, plus optionally the rows that v_neg_launch sums,
-    # evaluated in 40-digit arithmetic so that mp.diff resolves v'' well
-    # below the size of the ODE residual
+    # the leading model, written out, plus optionally the rows after row 0
+    # that v_neg_launch sums, evaluated in 40-digit arithmetic so that
+    # mp.diff resolves v'' well below the size of the ODE residual
     d, alpha, phi = mp.mpf(c.d), mp.mpf(p.alpha), mp.mpf(c.phi)
-    rows = _next_order_terms(c.d, p.alpha) if with_next_orders else ()
+    rows = _oscillatory_rows(c.d, p.alpha)[1:] if with_next_orders else ()
 
     def v(x):
         s = -x

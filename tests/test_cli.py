@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import painleve_mkdv.cli as cli
 from painleve_mkdv.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main,
                                parse_config, run_suite)
 from painleve_mkdv.errors import ConfigError
 from painleve_mkdv.mkdv import InitialDataCoefficients, ab_to_params
+from painleve_mkdv.stokes import make_params
 
 
 def test_specfun_suite_passes(tmp_path, capsys):
@@ -128,3 +130,19 @@ def test_suite_check_ids_are_stable():
     assert ids("fourier-limit", with_ab) == v_hat_ids + u_hat_ids
     xis = [float(check_id.split("=")[1]) for check_id in v_hat_ids + u_hat_ids]
     assert xis == [1e-3, -1e-3, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("offset,failing", [
+    ((1e-4, 0.0), "connection.right_launch_d"),
+    ((0.0, 1e-3), "connection.right_launch_phi"),
+])
+def test_connection_read_back_catches_a_worse_fit(monkeypatch, offset, failing):
+    # the read-back errs by ~1e-9 at (0, 0.5); a fit off by 1e-4 in d or
+    # 1e-3 in phi fails the matching check and only that one
+    fit = cli.fit_oscillation
+    monkeypatch.setattr(cli, "fit_oscillation", lambda *args: tuple(
+        value + delta for value, delta in zip(fit(*args), offset)))
+    passed = {r.check_id: r.passed
+              for r in run_suite("connection", {"params": make_params(0.0, 0.5)})}
+    read_back = {"connection.right_launch_d", "connection.right_launch_phi"}
+    assert {check_id for check_id in read_back if not passed[check_id]} == {failing}

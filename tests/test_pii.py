@@ -36,14 +36,14 @@ def test_degenerate_zero_grid():
 
 def test_launch_domain_validation():
     p = make_params(0.0, 0.5)
-    with pytest.raises(DomainError):
-        solve_left_launch(p, -10.0, 4.0)
-    with pytest.raises(DomainError):
-        solve_left_launch(p, -40.0, 8.0)
-    with pytest.raises(DomainError):
-        solve_right_launch_homogeneous(1.2)
-    with pytest.raises(DomainError):
-        solve_right_launch_homogeneous(0.5, 5.0)
+    with pytest.raises(DomainError, match="x_start <= -20"):
+        solve_left_launch(p, -10.0, 4.0, 1e-10)
+    with pytest.raises(DomainError, match="x_end <= 6"):
+        solve_left_launch(p, -40.0, 8.0, 1e-10)
+    with pytest.raises(DomainError, match=r"\|k\| < 1"):
+        solve_right_launch_homogeneous(1.2, 12.0, -60.0, 1e-11)
+    with pytest.raises(DomainError, match="x_start >= 8"):
+        solve_right_launch_homogeneous(0.5, 5.0, -60.0, 1e-11)
 
 
 def test_two_launch_agreement_at_origin():
@@ -123,9 +123,9 @@ def test_reversal_consistency():
     p = make_params(0.0, 0.5)
     c = connection_constants(p)
     y0 = v_neg_asym(-40.0, p, c, True)
-    fwd = _integrate(y0, -40.0, 0.0, 0.0, 1e-10, "left")
+    fwd = _integrate(y0, -40.0, 0.0, 0.0, 1e-10)
     y_mid = fwd.evaluate(0.0)
-    back = _integrate(y_mid, 0.0, -40.0, 0.0, 1e-10, "left")
+    back = _integrate(y_mid, 0.0, -40.0, 0.0, 1e-10)
     y_back = back.evaluate(-40.0)
     assert abs(y_back[0] - y0[0]) < 100.0 * 1e-10
     assert abs(y_back[1] - y0[1]) < 100.0 * 1e-10 * 10.0
@@ -255,7 +255,7 @@ def test_step_record_bookkeeping(launch, monkeypatch):
 def test_step_record_matches_scipy_on_rejections():
     # a trajectory heading for a pole: scipy rejects 7 of its 34 attempts,
     # and its nfev (dense stages included) is the record's rhs_evals
-    grid = _integrate((0.0, 1.0), 0.0, 1.5, 0.0, 1e-10, "left")
+    grid = _integrate((0.0, 1.0), 0.0, 1.5, 0.0, 1e-10)
     ref = _scipy_dop853((0.0, 1.0), 0.0, 1.5, 0.0, 1e-10)
     assert len(grid.abscissas) == len(ref.t)
     assert grid.rejected_steps == 7
@@ -265,7 +265,7 @@ def test_step_record_matches_scipy_on_rejections():
 def test_blowup_raises_with_location():
     # v(0) = 3 blows up well before x = 5; the error names where
     with pytest.raises(BlowupError) as info:
-        _integrate((3.0, 0.0), 0.0, 5.0, 0.0, 1e-10, "left")
+        _integrate((3.0, 0.0), 0.0, 5.0, 0.0, 1e-10)
     x_reached = float(str(info.value).split("near x = ")[1].split(";")[0])
     assert 0.0 < x_reached < 5.0
 
