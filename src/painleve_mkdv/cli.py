@@ -272,7 +272,8 @@ def emit_grid(opts: dict) -> str:
     right = xs >= 1.0
     pos[right] = v_pos_asym(xs[right], p.alpha)[0]
     lines = [f"# painleve-mkdv {__version__} alpha={p.alpha:.17g} k={p.k:.17g} "
-             f"x_lo={x_lo:.17g} x_hi={x_hi:.17g} step={step:.17g}",
+             f"x_lo={x_lo:.17g} x_hi={x_hi:.17g} step={step:.17g} "
+             f"x_left={sol.x_left:.17g} launch_error={sol.launch_error:.3e}",
              "x,v,v_prime,v_neg_asym,v_pos_asym,residual_osc,residual_full"]
     columns = (xs, v, vp, osc, pos, np.abs(v - osc), r_full)
     lines.extend(",".join("%.17g" % val for val in row) for row in zip(*columns))

@@ -22,11 +22,13 @@ and the interpolants are scipy's ``Dop853DenseOutput`` inside a public
 ``OdeSolution``, so dense evaluation stays scipy's tested code path.
 
 The one evaluator, ``tuned_solution(p)``, is a cached
-``AblowitzSegurSolution``: a single left launch from x = -240, seeded from
-the oscillatory expansion through s^{-13/4}, with dense output on
-[-240, 4]; left of -240 it is that expansion and right of 4 the decaying
-model.  Its seam at x = 4 is the truncation floor of the decaying model
-there, below 5e-3 for d up to 1.5.
+``AblowitzSegurSolution``: a single left launch from x_left, seeded from the
+oscillatory expansion through s^{-25/4}, with dense output on
+[x_left, 4]; left of x_left it is that expansion and right of 4 the
+decaying model.  x_left is -60 unless the orders the expansion omits are
+above the solve's tolerance there, which happens only for d above 1.3
+(1.75 at alpha = 0); it reaches -240 at d ~ 3.35.  The seam at x = 4 is the truncation floor of the
+decaying model there, below 5e-3 for d up to 1.5.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import least_squares
 
-from .asymptotics import psi_tilde, v_neg_launch, v_pos_asym
+from .asymptotics import launch_depth, psi_tilde, v_neg_launch, v_pos_asym
 from .errors import (BlowupError, DomainError, FitConvergenceError,
                      GridRangeError)
 from .specfun import airy_ai
@@ -274,12 +276,12 @@ def solve_left_launch(p: ASParams, x_start: float, x_end: float,
                       tol: float) -> SolutionGrid:
     """Integrate rightward from the oscillatory region.
 
-    Initial data comes from the oscillatory expansion through s^{-13/4}
-    (``v_neg_launch``) at x_start <= -20; the far end must satisfy
-    x_end <= 6, beyond which forward error growth makes accuracy claims
-    meaningless.  From x_start = -60 the launch-data error is small enough
-    that the turning-region amplification leaves the decaying tail at x = 4
-    within ~1e-3 (the truncation floor of ``v_pos_asym`` there).
+    Initial data comes from the oscillatory expansion (``v_neg_launch``) at
+    x_start <= -20; the far end must satisfy x_end <= 6, beyond which
+    forward error growth makes accuracy claims meaningless.  From
+    x_start = -60 the launch-data error is small enough that the
+    turning-region amplification leaves the decaying tail at x = 4 within
+    ~1e-3 (the truncation floor of ``v_pos_asym`` there) for d up to 1.5.
     """
     if x_start > -20.0:
         raise DomainError("left launch requires x_start <= -20")
@@ -359,21 +361,31 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
 class AblowitzSegurSolution:
     """Piecewise evaluator for v(x; alpha, k) over the whole real line.
 
-    On the dense window [x_left, x_match] = [-240, 4] it is the dense output
-    of one left launch from x_left (``solve_left_launch``), left of x_left
-    the launch expansion through s^{-13/4} that seeds it (``v_neg_launch``),
-    so the profile is continuous there, and right of x_match the decaying
-    model.  The jump at the right seam is recorded at construction time; it
-    sits at the truncation floor of the decaying model there (~3e-4 to
-    ~1e-3 for the acceptance pairs).
+    On the dense window [x_left, x_match] it is the dense output of one left
+    launch from x_left (``solve_left_launch``), left of x_left the launch
+    expansion that seeds it (``v_neg_launch``), so the profile is continuous
+    there, and right of x_match the decaying model.
+
+    x_left is set per profile before the solve: -s, for the smallest s in
+    [60, 240] at which the orders the launch expansion omits are below the
+    solve's own tolerance (``asymptotics.launch_depth``).  ``launch_error``
+    is that estimate at x_left; above the tolerance only where s = 240 does
+    not suffice.  The jump at the right seam is recorded at construction
+    time; it sits at the truncation floor of the decaying model there (~3e-4
+    to ~1e-3 for the acceptance pairs).
     """
 
-    x_left = -240.0
     x_match = DEFAULT_X_MATCH
 
     def __init__(self, params: ASParams):
         self.params = params
-        self.connection = None if params.degenerate else connection_constants(params)
+        if params.degenerate:
+            self.connection, s_left, self.launch_error = None, 60.0, 0.0
+        else:
+            self.connection = connection_constants(params)
+            s_left, self.launch_error = launch_depth(self.connection, params.alpha,
+                                                     DEFAULT_TOL, 60.0, 240.0)
+        self.x_left = -s_left
         self.grid = solve_left_launch(params, self.x_left, self.x_match, DEFAULT_TOL)
         v_grid = self.grid.evaluate(self.x_match)[0]
         self.seam_jump = abs(v_grid - v_pos_asym(self.x_match, params.alpha)[0])
@@ -407,7 +419,8 @@ class AblowitzSegurSolution:
 @lru_cache(maxsize=32)
 def tuned_solution(p: ASParams) -> AblowitzSegurSolution:
     """The evaluator for p, cached per parameter pair (bounded, least
-    recently used first out): solves take seconds and grids are immutable."""
+    recently used first out): grids are immutable, and each holds ~1600
+    steps' interpolants."""
     return AblowitzSegurSolution(p)
 
 

@@ -14,12 +14,13 @@ launch-data error there is amplified ~4.5e2 to ~2.4e3 times through the
 turning region (the growing linearized mode reaches e^{(2/3) x^{3/2}} ~ 2e2
 at x = 4 on top of algebraic factors), so the protocol holds only with
 launch data accurate well beyond the leading oscillatory model: the left
-launch seeds from the expansion through s^{-13/4} (``v_neg_launch``), whose
-data error at x = -60 is ~1e-6 or less.  The remaining seam, ~3e-4 to
-~1.1e-3, is the truncation floor of the decaying model at x = 4 (see the
-README's "Accuracy model"); the suite check `connection.seam_at_x_match`
-finds the same floor in the production evaluator, whose single launch
-starts at x = -240.
+launch seeds from the expansion through s^{-25/4} (``v_neg_launch``), whose
+data error at x = -60 is ~1e-11 or less for these pairs.  The remaining
+seam, ~3e-4 to ~1.1e-3, is the truncation floor of the decaying model at
+x = 4 (see the README's "Accuracy model"); the suite check
+`connection.seam_at_x_match` finds the same floor in the production
+evaluator, whose single launch starts at its own x_left (-60 for these
+pairs).
 """
 
 import functools
@@ -116,7 +117,7 @@ def test_01_runtime_budget(round_trip_runs):
 @pytest.mark.parametrize("pair", PAIRS)
 def test_01b_round_trip_depth_adapted(pair):
     # the same round trip through the production evaluator (one launch from
-    # x = -240): the connection formulas parameterize the solution that
+    # its x_left): the connection formulas parameterize the solution that
     # decays on the right
     _assert_check("connection", pair, "connection.seam_at_x_match")
 

@@ -9,6 +9,7 @@ from painleve_mkdv.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main,
                                parse_config, run_suite)
 from painleve_mkdv.errors import ConfigError
 from painleve_mkdv.mkdv import InitialDataCoefficients, ab_to_params
+from painleve_mkdv.pii import tuned_solution
 from painleve_mkdv.stokes import make_params
 
 
@@ -83,6 +84,11 @@ def test_grid_deterministic_and_env_override(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical reruns
     rows = out1.read_text().splitlines()
     assert len(rows) == 2 + int(round(10.0 / 0.05)) + 1
+    # the comment line records where the profile was launched and the
+    # launch expansion's estimated error there
+    sol = tuned_solution(make_params(0.0, 0.5))
+    assert rows[0].endswith(f" x_left={sol.x_left:.17g} "
+                            f"launch_error={sol.launch_error:.3e}")
 
 
 def test_check_failure_exit_code(tmp_path):

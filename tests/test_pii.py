@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 import painleve_mkdv.pii as pii
-from painleve_mkdv.asymptotics import v_neg_asym, v_neg_launch
+from painleve_mkdv.asymptotics import launch_depth, v_neg_asym, v_neg_launch
 from painleve_mkdv.errors import (BlowupError, DomainError, FitConvergenceError,
                                   GridRangeError)
 from painleve_mkdv.pii import (dense_residual, fit_oscillation, pii_rhs,
@@ -55,12 +55,13 @@ def test_two_launch_agreement_at_origin():
     assert diff < 2.0 * 40.0 ** -1.75 + 1e-6
 
 
-# k: bounds on the (d, phi) errors of the right-launch read-back, ~5x the
-# measured 1.9e-10 / 7.8e-9, 1.1e-9 / 5.5e-9, 7.7e-9 / 4.3e-8,
-# 8.5e-8 / 5.8e-7 and 4.6e-7 / 4.4e-6 at d = 0.17, 0.30, 0.73, 1.12, 1.41
-# (6.6e-6 / 3.7e-4 up to 4.2e-3 / 4.1e-2 fitting the leading model)
-_READ_BACK_BOUNDS = {0.3: (1e-9, 4e-8), 0.5: (5e-9, 3e-8), 0.9: (4e-8, 2e-7),
-                     0.99: (4e-7, 3e-6), 0.999: (2.5e-6, 2.5e-5)}
+# k: bounds on the (d, phi) errors of the right-launch read-back, ~5-15x the
+# measured 1.2e-12 / 7.1e-11, 1.8e-12 / 7.2e-11, 1.2e-12 / 6.7e-11,
+# 3.9e-12 / 7.9e-11 and 1.3e-10 / 1.2e-9 at d = 0.17, 0.30, 0.73, 1.12, 1.41
+# (1.9e-10 / 7.8e-9 up to 4.6e-7 / 4.4e-6 fitting the expansion through
+# s^{-13/4}, 6.6e-6 / 3.7e-4 up to 4.2e-3 / 4.1e-2 fitting the leading model)
+_READ_BACK_BOUNDS = {0.3: (2e-11, 1e-9), 0.5: (2e-11, 1e-9), 0.9: (2e-11, 1e-9),
+                     0.99: (4e-11, 1e-9), 0.999: (1e-9, 1e-8)}
 
 
 @pytest.mark.parametrize("k", sorted(_READ_BACK_BOUNDS))
@@ -328,6 +329,61 @@ def test_seam_at_large_d():
     # d ~ 1.51, beyond the acceptance pairs: the seam at x = 4 stays at the
     # decaying-model floor
     assert tuned_solution(make_params(0.0, 0.9996)).seam_jump < 5e-3
+
+
+# k: bounds on the evaluator's error on [-20, -5] against the Airy-seeded
+# right launch, the errors measured from a launch at x = -240 with the
+# expansion through s^{-13/4} (d = 0.17, 0.30, 0.73, 1.12, 1.41); from -60
+# with that expansion they were 9.0e-11, 1.8e-10, 1.1e-9, 5.6e-8 and 5.0e-7,
+# and through s^{-25/4} 5.8e-11, 9.8e-11, 2.0e-10, 2.2e-10 and 1.9e-10
+_PROFILE_BOUNDS = {0.3: 4.6e-10, 0.5: 7.7e-10, 0.9: 1.4e-9, 0.99: 1.1e-9,
+                   0.999: 3.8e-9}
+
+
+@pytest.mark.parametrize("k", sorted(_PROFILE_BOUNDS))
+def test_profile_matches_right_launch(k):
+    # the reference runs on to -60 so that its step cap is the profile's
+    ref = solve_right_launch_homogeneous(k, 12.0, -60.0, 1e-12)
+    sol = tuned_solution(make_params(0.0, k))
+    xs = np.linspace(-20.0, -5.0, 1501)
+    assert np.max(np.abs(sol.v(xs)[0] - ref.evaluate(xs)[0])) < _PROFILE_BOUNDS[k]
+
+
+def _pair_with_d(alpha, d):
+    return make_params(alpha, math.sqrt(math.cos(math.pi * alpha) ** 2
+                                        - math.exp(-math.pi * d * d)))
+
+
+@pytest.mark.parametrize("alpha, d", [(0.0, 0.5), (0.2, 1.0), (0.2, 1.7),
+                                      (0.35, 2.0), (0.45, 2.6), (0.1, 3.0)])
+def test_launch_point_is_odd_symmetric(alpha, d):
+    # v(x; -alpha, -k) = -v(x; alpha, k) needs both profiles on one grid
+    p = _pair_with_d(alpha, d)
+    q = make_params(-p.alpha, -p.k)
+    launch = [launch_depth(connection_constants(r), r.alpha, pii.DEFAULT_TOL,
+                           60.0, 240.0) for r in (p, q)]
+    assert launch[0] == launch[1]
+
+
+def test_launch_point_follows_the_omitted_orders():
+    # shallow launches for small d, deeper ones for larger d, and the
+    # estimate meets the solve's tolerance (to rounding) wherever x_left is
+    # not at its cap
+    tol = pii.DEFAULT_TOL * (1.0 + 1e-12)
+    depths = []
+    for d in (0.5, 1.5, 1.9, 2.3, 2.8, 4.0):
+        s, err = launch_depth(ConnectionConstants(d, 0.0), 0.3, pii.DEFAULT_TOL,
+                              60.0, 240.0)
+        assert err <= tol or s == 240.0
+        depths.append(s)
+    assert depths[0] == 60.0 and depths[-1] == 240.0
+    assert depths == sorted(depths) and 60.0 < depths[2] < depths[3] < 240.0
+    sol = tuned_solution(_pair_with_d(0.3, 1.7))
+    assert sol.x_left == -launch_depth(sol.connection, 0.3, pii.DEFAULT_TOL,
+                                       60.0, 240.0)[0] < -60.0
+    assert sol.grid.launch_point == sol.x_left
+    assert sol.launch_error <= tol
+    assert sol.seam_jump < 5e-3
 
 
 def test_grid_range_error(sol_025_03):
