@@ -16,7 +16,7 @@ them for given (d, alpha) through F_8 (s^{-25/4}), plus two more orders that
 only estimate what the sum omits; the n = 1 term alpha/x is added on its
 own.  ``v_neg_asym`` sums F_0 = d cos PsiTilde, ``v_neg_launch`` (the left
 launches' initial data) every order plus alpha/x, and ``launch_depth``
-finds where the omitted orders fall below a tolerance.
+finds where the omitted orders fall below ``LAUNCH_TOL``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ def psi_stationary_threshold(d: float) -> float:
     """Largest s at which PsiTilde' can vanish: s0 = ((3/4) d^2)^{2/3}."""
     return (0.75 * d * d) ** (2.0 / 3.0)
 
+
+# A profile is launched from x_left = -s, s in LAUNCH_DEPTHS, where what the
+# expansion omits is at most LAUNCH_TOL, the tolerance of the solve it seeds.
+LAUNCH_TOL = 1.0e-10
+LAUNCH_DEPTHS = (60.0, 240.0)
 
 # The launch expansion sums F_0 .. F_8, through s^{-25/4}.  Order n carries
 # the harmonics m <= n + 1 of the parity of n + 1 (m <= n - 1 for odd n), and
@@ -161,11 +166,10 @@ def _oscillatory_rows(d: float, alpha: float):
                  for m in _HARM[_ALLOWED[n]])
 
 
-def launch_depth(c: ConnectionConstants, alpha: float, tol: float,
-                 s_min: float, s_max: float) -> tuple[float, float]:
-    """(s, estimate): the smallest s in [s_min, s_max] at which the larger of
-    the two orders after the last summed one is at most ``tol`` (to
-    rounding), and that larger order's size at s.
+def launch_depth(c: ConnectionConstants, alpha: float) -> tuple[float, float]:
+    """(s, estimate): the smallest s in ``LAUNCH_DEPTHS`` at which the larger
+    of the two orders after the last summed one is at most ``LAUNCH_TOL``
+    (to rounding), and that larger order's size at s.
 
     Order n is bounded by s^{-(1 + 3n)/4} sum_m |K[n, m]|, which falls with
     s, so s follows in closed form.  Two orders, because every odd order
@@ -173,7 +177,8 @@ def launch_depth(c: ConnectionConstants, alpha: float, tol: float,
     """
     size = np.abs(_coefficients(c.d, alpha)[_ORDER + 1:]).sum(axis=1)
     rate = _RATE[_ORDER + 1:]
-    s = min(max(s_min, float(np.max((size / tol) ** (1.0 / rate)))), s_max)
+    s_min, s_max = LAUNCH_DEPTHS
+    s = min(max(s_min, float(np.max((size / LAUNCH_TOL) ** (1.0 / rate)))), s_max)
     return s, float(np.max(size * s ** -rate))
 
 

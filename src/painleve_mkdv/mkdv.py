@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import LAUNCH_DEPTHS
 from .errors import DomainError, GridRangeError
 from .integrals import v_hat
 from .pii import AblowitzSegurSolution, tuned_solution
@@ -89,10 +90,13 @@ def u_hat(field: SelfSimilarField, xi: float) -> complex:
 def _y_window_check(field: SelfSimilarField, xs: np.ndarray, t: float):
     scale = (3.0 * t) ** (-1.0 / 3.0)
     ys = xs * scale
-    sol = field.solution
-    if np.min(ys) < sol.x_left or np.max(ys) > sol.x_match:
+    # left of x_left the profile is its launch expansion, as exact as the
+    # solved part down to the deepest launch point; right of x_match it is
+    # the decaying model, across a jump
+    if np.min(ys) < -LAUNCH_DEPTHS[1] or np.max(ys) > field.solution.x_match:
         raise GridRangeError(
-            "window leaves the dense ODE region after self-similar rescaling")
+            f"window leaves [{-LAUNCH_DEPTHS[1]:g}, x_match] after self-similar "
+            "rescaling")
 
 
 def pde_residual_fd(field: SelfSimilarField, window: tuple[float, float],

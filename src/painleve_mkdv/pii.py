@@ -27,8 +27,9 @@ oscillatory expansion through s^{-25/4}, with dense output on
 [x_left, 4]; left of x_left it is that expansion and right of 4 the
 decaying model.  x_left is -60 unless the orders the expansion omits are
 above the solve's tolerance there, which happens only for d above 1.3
-(1.75 at alpha = 0); it reaches -240 at d ~ 3.35.  The seam at x = 4 is the truncation floor of the
-decaying model there, below 5e-3 for d up to 1.5.
+(1.75 at alpha = 0); it reaches -240 at d ~ 3.35.  The seam at x = 4 is
+the truncation floor of the decaying model there, below 5e-3 for d up to
+1.5.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import least_squares
 
-from .asymptotics import launch_depth, psi_tilde, v_neg_launch, v_pos_asym
+from .asymptotics import (LAUNCH_DEPTHS, LAUNCH_TOL, launch_depth, psi_tilde,
+                          v_neg_launch, v_pos_asym)
 from .errors import (BlowupError, DomainError, FitConvergenceError,
                      GridRangeError)
 from .specfun import airy_ai
@@ -64,7 +66,7 @@ __all__ = [
 
 BLOWUP_THRESHOLD = 1.0e6
 
-DEFAULT_TOL = 1.0e-10
+DEFAULT_TOL = LAUNCH_TOL  # the launch data are exact to the solve's tolerance
 DEFAULT_X_MATCH = 4.0
 
 _FIT_MAX_NFEV = 200  # least-squares evaluation budget of fit_oscillation
@@ -380,11 +382,10 @@ class AblowitzSegurSolution:
     def __init__(self, params: ASParams):
         self.params = params
         if params.degenerate:
-            self.connection, s_left, self.launch_error = None, 60.0, 0.0
+            self.connection, s_left, self.launch_error = None, LAUNCH_DEPTHS[0], 0.0
         else:
             self.connection = connection_constants(params)
-            s_left, self.launch_error = launch_depth(self.connection, params.alpha,
-                                                     DEFAULT_TOL, 60.0, 240.0)
+            s_left, self.launch_error = launch_depth(self.connection, params.alpha)
         self.x_left = -s_left
         self.grid = solve_left_launch(params, self.x_left, self.x_match, DEFAULT_TOL)
         v_grid = self.grid.evaluate(self.x_match)[0]

@@ -110,6 +110,19 @@ def test_pde_window_out_of_range(sol_0_05):
         pde_residual_fd(field, (-30.0, 30.0), 0.05)
 
 
+def test_pde_window_reaches_the_deepest_launch_point(sol_0_05):
+    # windows are admitted down to y = -240 whatever the profile's x_left:
+    # left of it the profile is its launch expansion
+    assert sol_0_05.x_left == -60.0
+    field = SelfSimilarField(sol_0_05.params, 1e-5, solution=sol_0_05)
+    # y = x (3e-5)^{-1/3} reaches -96.5 and -238; the residual's terms are
+    # ~1e8 at this t, so 1e-6 is rounding
+    assert pde_residual_closure(field, (-3.0, 0.0)) < 1e-6
+    assert pde_residual_closure(field, (-7.4, -3.0)) < 1e-6
+    with pytest.raises(GridRangeError):
+        pde_residual_closure(field, (-7.5, 0.0))
+
+
 def _pv_pairing_target(coeffs, phi):
     # a phi(0) + b p.v. int phi(x)/x dx, the principal value through the odd
     # part (smooth integrand), evaluated independently of the solver

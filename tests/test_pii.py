@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 import painleve_mkdv.pii as pii
-from painleve_mkdv.asymptotics import launch_depth, v_neg_asym, v_neg_launch
+from painleve_mkdv.asymptotics import (LAUNCH_DEPTHS, launch_depth, v_neg_asym,
+                                      v_neg_launch)
 from painleve_mkdv.errors import (BlowupError, DomainError, FitConvergenceError,
                                   GridRangeError)
 from painleve_mkdv.pii import (dense_residual, fit_oscillation, pii_rhs,
@@ -360,8 +361,7 @@ def test_launch_point_is_odd_symmetric(alpha, d):
     # v(x; -alpha, -k) = -v(x; alpha, k) needs both profiles on one grid
     p = _pair_with_d(alpha, d)
     q = make_params(-p.alpha, -p.k)
-    launch = [launch_depth(connection_constants(r), r.alpha, pii.DEFAULT_TOL,
-                           60.0, 240.0) for r in (p, q)]
+    launch = [launch_depth(connection_constants(r), r.alpha) for r in (p, q)]
     assert launch[0] == launch[1]
 
 
@@ -370,17 +370,16 @@ def test_launch_point_follows_the_omitted_orders():
     # estimate meets the solve's tolerance (to rounding) wherever x_left is
     # not at its cap
     tol = pii.DEFAULT_TOL * (1.0 + 1e-12)
+    s_min, s_max = LAUNCH_DEPTHS
     depths = []
     for d in (0.5, 1.5, 1.9, 2.3, 2.8, 4.0):
-        s, err = launch_depth(ConnectionConstants(d, 0.0), 0.3, pii.DEFAULT_TOL,
-                              60.0, 240.0)
-        assert err <= tol or s == 240.0
+        s, err = launch_depth(ConnectionConstants(d, 0.0), 0.3)
+        assert err <= tol or s == s_max
         depths.append(s)
-    assert depths[0] == 60.0 and depths[-1] == 240.0
-    assert depths == sorted(depths) and 60.0 < depths[2] < depths[3] < 240.0
+    assert depths[0] == s_min and depths[-1] == s_max
+    assert depths == sorted(depths) and s_min < depths[2] < depths[3] < s_max
     sol = tuned_solution(_pair_with_d(0.3, 1.7))
-    assert sol.x_left == -launch_depth(sol.connection, 0.3, pii.DEFAULT_TOL,
-                                       60.0, 240.0)[0] < -60.0
+    assert sol.x_left == -launch_depth(sol.connection, 0.3)[0] < -s_min
     assert sol.grid.launch_point == sol.x_left
     assert sol.launch_error <= tol
     assert sol.seam_jump < 5e-3
