@@ -1,6 +1,5 @@
 """Asymptotic models for v(x; alpha, k) on both ends of the real line, with
-analytic derivatives, plus the remainder envelope and log-log slope fit
-used to verify remainder orders.
+analytic derivatives, plus a log-log slope fit for observed decay orders.
 
 The oscillatory model lives on s = -x > 0:
 
@@ -16,12 +15,12 @@ them for given (d, alpha) through F_8 (s^{-25/4}), plus two more orders that
 only estimate what the sum omits; the n = 1 term alpha/x is added on its
 own.  ``v_neg_asym`` sums F_0 = d cos PsiTilde, ``v_neg_launch`` (the left
 launches' initial data) every order plus alpha/x, and ``launch_depth``
-finds where the omitted orders fall below ``LAUNCH_TOL``.
+finds where the omitted orders fall below ``LAUNCH_TOL``.  The CLI's
+``connection.launch_expansion`` check takes its bound from the same orders.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -31,12 +30,10 @@ from .stokes import ASParams, ConnectionConstants
 
 __all__ = [
     "psi_tilde",
-    "psi_stationary_threshold",
     "v_neg_asym",
     "v_neg_launch",
     "launch_depth",
     "v_pos_asym",
-    "remainder_envelope",
     "loglog_slope",
 ]
 
@@ -55,11 +52,6 @@ def psi_tilde(s, c: ConnectionConstants):
     if value.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
-
-
-def psi_stationary_threshold(d: float) -> float:
-    """Largest s at which PsiTilde' can vanish: s0 = ((3/4) d^2)^{2/3}."""
-    return (0.75 * d * d) ** (2.0 / 3.0)
 
 
 # A profile is launched from x_left = -s, s in LAUNCH_DEPTHS, where what the
@@ -166,20 +158,28 @@ def _oscillatory_rows(d: float, alpha: float):
                  for m in _HARM[_ALLOWED[n]])
 
 
-def launch_depth(c: ConnectionConstants, alpha: float) -> tuple[float, float]:
-    """(s, estimate): the smallest s in ``LAUNCH_DEPTHS`` at which the larger
-    of the two orders after the last summed one is at most ``LAUNCH_TOL``
-    (to rounding), and that larger order's size at s.
+def _omitted_orders(c: ConnectionConstants, alpha: float, s: float) -> np.ndarray:
+    """Sizes at s of the two orders after the last summed one.
 
     Order n is bounded by s^{-(1 + 3n)/4} sum_m |K[n, m]|, which falls with
-    s, so s follows in closed form.  Two orders, because every odd order
-    vanishes at alpha = 0.
+    s.  Two orders, because every odd order vanishes at alpha = 0.
     """
     size = np.abs(_coefficients(c.d, alpha)[_ORDER + 1:]).sum(axis=1)
-    rate = _RATE[_ORDER + 1:]
+    return size * s ** -_RATE[_ORDER + 1:]
+
+
+def launch_depth(c: ConnectionConstants, alpha: float) -> tuple[float, float]:
+    """(s, estimate): the smallest s in ``LAUNCH_DEPTHS`` at which the larger
+    of the two orders after the last summed one (``_omitted_orders``) is at
+    most ``LAUNCH_TOL`` (to rounding), and that larger order's size at s.
+    Each order falls as a power of s, so s follows in closed form from their
+    sizes at s = 1.
+    """
+    size = _omitted_orders(c, alpha, 1.0)
     s_min, s_max = LAUNCH_DEPTHS
-    s = min(max(s_min, float(np.max((size / LAUNCH_TOL) ** (1.0 / rate)))), s_max)
-    return s, float(np.max(size * s ** -rate))
+    s = min(max(s_min, float(np.max((size / LAUNCH_TOL)
+                                    ** (1.0 / _RATE[_ORDER + 1:])))), s_max)
+    return s, float(np.max(_omitted_orders(c, alpha, s)))
 
 
 def _sum_orders(x, p: ASParams, c: ConnectionConstants, n_orders: int,
@@ -246,29 +246,6 @@ def v_pos_asym(x, alpha: float):
     if v.ndim == 0:
         return float(v), float(v_prime)
     return v, v_prime
-
-
-def remainder_envelope(sol, include_alpha_term: bool):
-    """Envelope of |v - v_neg_asym| over s = -x in [20, min(200, -x_left)],
-    where the profile is solved data, not its own launch model: one (block
-    centre, max) pair per oscillation period, 50 samples each.
-
-    ``sol`` is a profile evaluator (``v``, ``params``, ``connection``,
-    ``x_left``, as ``pii.AblowitzSegurSolution``); ``loglog_slope`` of the
-    envelope is the observed remainder order.
-    """
-    p, c = sol.params, sol.connection
-    s_end = min(200.0, -sol.x_left)
-    blocks = []
-    s = 20.0
-    while s < s_end:
-        width = 2.0 * math.pi / math.sqrt(s)
-        xs = np.linspace(-min(s + width, s_end), -s, 50)
-        v = sol.v(xs)[0]
-        model = v_neg_asym(xs, p, c, include_alpha_term)[0]
-        blocks.append((s + 0.5 * width, float(np.max(np.abs(v - model)))))
-        s += width
-    return blocks
 
 
 def loglog_slope(points) -> float:

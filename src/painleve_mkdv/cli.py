@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .asymptotics import (loglog_slope, remainder_envelope, v_neg_asym,
-                          v_pos_asym)
+from .asymptotics import (LAUNCH_TOL, _omitted_orders, loglog_slope,
+                          v_neg_asym, v_neg_launch, v_pos_asym)
 from .errors import ConfigError, PainleveError
 from .integrals import pv_total_integral, total_integral_formula, v_hat
 from .mkdv import (InitialDataCoefficients, SelfSimilarField, ab_to_params,
@@ -32,8 +32,7 @@ from .pii import solve_right_launch_homogeneous, fit_oscillation, tuned_solution
 from .rh_verify import (ContourCircle, parametrix_decay, residue_check_origin,
                         stationary_identity)
 from .specfun import airy_ai, log_gamma, pcf_d
-from .stokes import (connection_constants, make_params, rh_constants,
-                     stokes_triple)
+from .stokes import make_params, rh_constants, stokes_triple
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,16 +157,23 @@ def _suite_connection(opts) -> Iterator[tuple]:
     p = opts["params"]
     sol = tuned_solution(p)
     yield "connection.seam_at_x_match", sol.seam_jump, 0.0, 5e-3
-    if p.alpha == 0.0 and not p.degenerate:
+    if p.degenerate:
+        return
+    c = sol.connection
+    if p.alpha == 0.0:
         grid = solve_right_launch_homogeneous(p.k, 12.0, -60.0, 1e-11)
         d_fit, phi_fit = fit_oscillation(grid, (-60.0, -30.0), 0.0)
-        c = connection_constants(p)
         yield "connection.right_launch_d", d_fit, c.d, 1e-5
         dphi = abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi))
         yield "connection.right_launch_phi", dphi, 0.0, 1e-4
-    if not p.degenerate:
-        slope = loglog_slope(remainder_envelope(sol, True))
-        yield "connection.remainder_slope", min(slope, -1.6), slope, 0.0
+    # the solved profile against the expansion it was launched from, on
+    # [x_left, -20]: what the expansion omits is largest at s = 20, where the
+    # orders beyond the two omitted ones still add a fraction (hence the 2),
+    # and 10 LAUNCH_TOL covers the solve's own error
+    xs = np.linspace(sol.x_left, -20.0, int(round(100.0 * (-20.0 - sol.x_left))) + 1)
+    gap = np.max(np.abs(sol.v(xs)[0] - v_neg_launch(xs, p, c)[0]))
+    bound = 2.0 * np.sum(_omitted_orders(c, p.alpha, 20.0)) + 10.0 * LAUNCH_TOL
+    yield "connection.launch_expansion", float(gap), 0.0, float(bound)
 
 
 def _suite_total_integral(opts) -> Iterator[tuple]:
@@ -214,8 +220,10 @@ def _suite_rh(opts) -> Iterator[tuple]:
     prod = rc.h0 * rc.h1 * (1.0 - st.s1 * st.s3) - st.s1 * st.s3
     yield "rh.h0h1_identity", prod, 0.0, 1e-12
     if not p.degenerate:
-        slope = loglog_slope(parametrix_decay(p))
-        yield "rh.parametrix_decay_slope", min(slope, -1.4), slope, 0.0
+        # the fitted decay over t = 10 .. 1000; its order depends only on d
+        # (-1.52 as d -> 0, -2.41 at d = 2.5), so the bound is one-sided
+        factor = 100.0 ** loglog_slope(parametrix_decay(p))
+        yield "rh.parametrix_decay_factor", factor, 0.0, 100.0 ** -1.4
 
 
 _SUITE_FUNCS = {
@@ -273,7 +281,8 @@ def emit_grid(opts: dict) -> str:
     pos[right] = v_pos_asym(xs[right], p.alpha)[0]
     lines = [f"# painleve-mkdv {__version__} alpha={p.alpha:.17g} k={p.k:.17g} "
              f"x_lo={x_lo:.17g} x_hi={x_hi:.17g} step={step:.17g} "
-             f"x_left={sol.x_left:.17g} launch_error={sol.launch_error:.3e}",
+             f"x_left={sol.x_left:.17g} launch_error={sol.launch_error:.3e} "
+             f"seam_jump={sol.seam_jump:.3e}",
              "x,v,v_prime,v_neg_asym,v_pos_asym,residual_osc,residual_full"]
     columns = (xs, v, vp, osc, pos, np.abs(v - osc), r_full)
     lines.extend(",".join("%.17g" % val for val in row) for row in zip(*columns))

@@ -5,8 +5,9 @@ Each check is defined once, in the suites of `painleve_mkdv.cli`:
 `test_suite` runs every suite on each acceptance pair, and `fourier-limit`
 once more with initial-data coefficients (a, b) = (1, 0.5), and asserts that
 every report passed.  Some numbered tests (`01b`, `02`, `05`, `09`, `10`)
-assert one suite check each, read from the same cached suite run; the rest
-hold what no suite checks.
+assert one suite check each, read from the same cached suite run; `03`
+runs `connection.launch_expansion` against a model without its alpha/x
+term; the rest hold what no suite checks.
 
 The `01` checks encode a fixed shallow-launch protocol verbatim: launch from
 x = -60 and compare with the decaying model at x = 4, tolerance 5e-3.  The
@@ -29,8 +30,8 @@ import time
 
 import pytest
 
-from painleve_mkdv.asymptotics import (loglog_slope, remainder_envelope,
-                                       v_pos_asym)
+import painleve_mkdv.cli as cli
+from painleve_mkdv.asymptotics import v_pos_asym
 from painleve_mkdv.cli import SUITES, run_suite
 from painleve_mkdv.integrals import pv_total_integral
 from painleve_mkdv.mkdv import (InitialDataCoefficients, SelfSimilarField,
@@ -129,14 +130,25 @@ def test_02_right_launch_cross_validation():
     _assert_check("connection", (0.0, 0.5), "connection.right_launch_phi")
 
 
-# -- 3: remainder-order improvement -------------------------------------------
+# -- 3: the alpha/x term of the launch expansion -----------------------------
 
-def test_03_remainder_orders(sol_025_03):
-    # with alpha/x removed the slope is connection.remainder_slope; kept, the
-    # alpha/x term dominates the remainder
-    osc_only = loglog_slope(remainder_envelope(sol_025_03, False))
-    _report("03 slope with alpha/x kept", abs(osc_only + 1.0), 0.15)
-    assert abs(osc_only + 1.0) <= 0.15
+def test_03_launch_expansion_needs_alpha_over_x(monkeypatch):
+    # connection.launch_expansion against the expansion without alpha/x: the
+    # gap is then |alpha|/|x| at the window's end x = -20, to within the
+    # check's bound, and far above that bound
+    alpha = 0.25
+    launch = cli.v_neg_launch
+
+    def without_alpha_term(x, p, c):
+        v, v_prime = launch(x, p, c)
+        return v - p.alpha / x, v_prime + p.alpha / x ** 2
+
+    monkeypatch.setattr(cli, "v_neg_launch", without_alpha_term)
+    r = next(r for r in run_suite("connection", {"params": make_params(alpha, 0.3)})
+             if r.check_id == "connection.launch_expansion")
+    _report("03 gap - |alpha|/20 with alpha/x dropped", abs(r.abs_err - alpha / 20.0),
+            r.tol)
+    assert abs(r.abs_err - alpha / 20.0) <= r.tol < 1e-5 * r.abs_err
 
 
 # -- 4: total integral ---------------------------------------------------------
@@ -188,4 +200,4 @@ def test_09_stationary_identity(pair):
 
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
 def test_10_parametrix_decay(pair):
-    _assert_check("rh-checks", pair, "rh.parametrix_decay_slope")
+    _assert_check("rh-checks", pair, "rh.parametrix_decay_factor")

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.asymptotics import (_oscillatory_rows, loglog_slope,
-                                       psi_stationary_threshold, psi_tilde,
-                                       v_neg_asym, v_neg_launch, v_pos_asym)
+                                       psi_tilde, v_neg_asym, v_neg_launch,
+                                       v_pos_asym)
 from painleve_mkdv.errors import DomainError
 from painleve_mkdv.stokes import ConnectionConstants, connection_constants, \
     make_params
@@ -43,9 +43,10 @@ def test_psi_tilde_domain():
 def test_stationary_threshold():
     for pair in [(0.0, 0.5), (0.25, 0.3), (0.4, 0.5 * math.cos(0.4 * math.pi))]:
         c = connection_constants(make_params(*pair))
-        s0 = psi_stationary_threshold(c.d)
+        # PsiTilde' = s^{1/2} - (3/4) d^2 / s vanishes at s0 = ((3/4) d^2)^{2/3}
+        # and is strictly positive beyond twice that
+        s0 = (0.75 * c.d * c.d) ** (2.0 / 3.0)
         assert s0 > 0.0
-        # derivative strictly positive beyond twice the threshold
         ss = np.linspace(2.0 * s0, 100.0, 50)
         assert np.all(psi_tilde(ss, c)[1] > 0.0)
 

@@ -1,15 +1,17 @@
 """Batch driver: suites, reports, grids, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
+import painleve_mkdv.asymptotics as asymptotics
 import painleve_mkdv.cli as cli
 from painleve_mkdv.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main,
                                parse_config, run_suite)
 from painleve_mkdv.errors import ConfigError
 from painleve_mkdv.mkdv import InitialDataCoefficients, ab_to_params
-from painleve_mkdv.pii import tuned_solution
+from painleve_mkdv.pii import AblowitzSegurSolution, tuned_solution
 from painleve_mkdv.stokes import make_params
 
 
@@ -84,11 +86,12 @@ def test_grid_deterministic_and_env_override(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical reruns
     rows = out1.read_text().splitlines()
     assert len(rows) == 2 + int(round(10.0 / 0.05)) + 1
-    # the comment line records where the profile was launched and the
-    # launch expansion's estimated error there
+    # the comment line records where the profile was launched, the launch
+    # expansion's estimated error there and the jump at the right seam
     sol = tuned_solution(make_params(0.0, 0.5))
     assert rows[0].endswith(f" x_left={sol.x_left:.17g} "
-                            f"launch_error={sol.launch_error:.3e}")
+                            f"launch_error={sol.launch_error:.3e} "
+                            f"seam_jump={sol.seam_jump:.3e}")
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -152,3 +155,40 @@ def test_connection_read_back_catches_a_worse_fit(monkeypatch, offset, failing):
               for r in run_suite("connection", {"params": make_params(0.0, 0.5)})}
     read_back = {"connection.right_launch_d", "connection.right_launch_phi"}
     assert {check_id for check_id in read_back if not passed[check_id]} == {failing}
+
+
+def _launch_expansion(p):
+    return next(r for r in run_suite("connection", {"params": p})
+                if r.check_id == "connection.launch_expansion")
+
+
+@pytest.mark.parametrize("alpha,k", [(0.0, 0.3), (0.0, 0.5), (0.25, 0.3), (-0.3, -0.4),
+                                     (0.4, 0.5 * math.cos(0.4 * math.pi))])
+def test_launch_expansion_catches_a_missing_order(monkeypatch, alpha, k):
+    # a profile launched with F_2, the s^{-7/4} order, zeroed misses the
+    # expansion by over 1e3 times the bound
+    p = make_params(alpha, k)
+    coefficients = asymptotics._coefficients
+
+    def without_f2(d, a):
+        table = coefficients(d, a).copy()
+        table[2] = 0.0
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "_coefficients", without_f2)
+        mutant = AblowitzSegurSolution(p)
+    monkeypatch.setattr(cli, "tuned_solution", lambda q: mutant)
+    r = _launch_expansion(p)
+    assert r.abs_err > 1e3 * r.tol
+
+
+def test_launch_expansion_holds_on_a_deep_launch():
+    # at (0.3, d = 1.7) the profile is launched left of -60, and the
+    # check holds on the whole solved window with a 2x margin
+    d = 1.7
+    p = make_params(0.3, math.sqrt(math.cos(0.3 * math.pi) ** 2
+                                   - math.exp(-math.pi * d * d)))
+    assert tuned_solution(p).x_left < -60.0
+    r = _launch_expansion(p)
+    assert 2.0 * r.abs_err <= r.tol
