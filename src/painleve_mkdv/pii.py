@@ -5,8 +5,8 @@
 on the real line.  Trajectories are launched from the oscillatory region
 (or, for alpha = 0, from the Airy-decay region on the right) with initial
 data taken from the asymptotic models, and integrated with an adaptive
-high-order embedded Runge-Kutta method with dense output.  A nonlinear
-least-squares fit of the launch expansion (``v_neg_launch``) to a profile
+high-order embedded Runge-Kutta method with dense output.  Least squares
+of the launch expansion (``v_neg_launch``) on a grid's accepted states
 reads the connection constants (d, phi) back; on an Airy-seeded right
 launch that read-back is independent of the connection formulas.
 
@@ -320,25 +320,25 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     """Recover (d, phi) by least squares against the launch expansion
     ``v_neg_launch``, the model the left launches are seeded from.
 
-    The window must lie on the negative axis, be covered by the grid, and
-    span at least three oscillation periods.  The starting point is linear:
-    d0 from the s^{1/4}-rescaled envelope, then (d cos phi, -d sin phi) by
-    linear least squares on s^{-1/4} (cos, sin) of PsiTilde at d0.
+    The window must lie on the negative axis, be covered by the grid, and span
+    at least three periods.  The data are v at the grid's nodes in it:
+    ``_max_step_for`` caps each step at 1/20 of the period at the span's far
+    end, at or beyond x_lo, so every period holds >= 20 nodes.  The start is
+    linear: d0 from the s^{1/4}-rescaled envelope (0 on the zero grid), then
+    (d cos phi, -d sin phi) by least squares on s^{-1/4} (cos, sin)(PsiTilde).
     """
     x_lo, x_hi = float(window[0]), float(window[1])
     if not (x_lo < x_hi < 0.0):
         raise DomainError("fit window must satisfy x_lo < x_hi < 0")
     if not grid.covers(x_lo, x_hi):
         raise GridRangeError("grid does not cover the fit window")
-    period_max = 2.0 * math.pi / math.sqrt(-x_hi)
-    if (x_hi - x_lo) < 3.0 * period_max:
+    if x_hi - x_lo < 6.0 * math.pi / math.sqrt(-x_hi):
         raise DomainError("fit window shorter than 3 oscillation periods")
-    n = max(600, int(40.0 * (x_hi - x_lo) / (2.0 * math.pi / math.sqrt(-x_lo))))
-    xs = np.linspace(x_lo, x_hi, n)
-    data = grid.evaluate(xs)[0]
+    inside = (grid.abscissas >= x_lo) & (grid.abscissas <= x_hi)
+    xs, data = grid.abscissas[inside], grid.states[inside, 0]
     s = -xs
     resid0 = data - alpha / xs
-    d0 = float(np.max(np.abs(resid0) * s ** 0.25))
+    d0 = float(np.max(np.abs(resid0) * s ** 0.25, initial=0.0))
     if d0 == 0.0:
         return 0.0, 0.0
     psi0 = psi_tilde(s, ConnectionConstants(d0, 0.0))[0]

@@ -76,28 +76,46 @@ def test_right_launch_read_back_near_the_edge(k):
     assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) < phi_bound
 
 
-class _ModelGrid:
-    """Synthetic stand-in grid built from the launch expansion itself."""
+@pytest.mark.parametrize("k", [0.3, 0.999])
+def test_read_back_uses_the_solver_states(k, monkeypatch):
+    # the fit reads the accepted states, never the dense output
+    grid = solve_right_launch_homogeneous(k, 12.0, -60.0, 1e-11)
 
-    def __init__(self, d, phi, alpha):
-        self.p, self.c = ASParams(alpha, 0.0), ConnectionConstants(d, phi)
+    def no_dense_output(self, x):
+        raise AssertionError("fit_oscillation evaluated the dense output")
 
-    def covers(self, x_lo, x_hi):
-        return True
+    monkeypatch.setattr(pii.SolutionGrid, "evaluate", no_dense_output)
+    d_fit, phi_fit = fit_oscillation(grid, (-60.0, -30.0), 0.0)
+    c = connection_constants(make_params(0.0, k))
+    d_bound, phi_bound = _READ_BACK_BOUNDS[k]
+    assert abs(d_fit - c.d) < d_bound
+    assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) < phi_bound
 
-    def evaluate(self, x):
-        return v_neg_launch(x, self.p, self.c)
+
+def test_read_back_of_the_zero_grid():
+    # k = 0 gives the zero grid, whose two end nodes lie outside the window
+    grid = solve_right_launch_homogeneous(0.0, 12.0, -60.0, 1e-11)
+    assert fit_oscillation(grid, (-50.0, -30.0), 0.0) == (0.0, 0.0)
+
+
+def _model_grid(d, phi, alpha):
+    """Synthetic grid: the launch expansion itself, sampled at the step cap of
+    a launch from -60."""
+    xs = np.arange(-60.0, -20.0, _max_step_for((-60.0, 4.0)))
+    states = np.column_stack(v_neg_launch(xs, ASParams(alpha, 0.0),
+                                          ConnectionConstants(d, phi)))
+    return pii.SolutionGrid(xs, states, -60.0, 0.0)
 
 
 def test_fit_oscillation_round_trip():
-    grid = _ModelGrid(0.3, 1.0, 0.0)
+    grid = _model_grid(0.3, 1.0, 0.0)
     d_fit, phi_fit = fit_oscillation(grid, (-60.0, -30.0), 0.0)
     assert abs(d_fit - 0.3) < 1e-10
     assert abs(phi_fit - 1.0) < 1e-10
 
 
 def test_fit_oscillation_window_validation():
-    grid = _ModelGrid(0.3, 1.0, 0.0)
+    grid = _model_grid(0.3, 1.0, 0.0)
     with pytest.raises(DomainError):
         fit_oscillation(grid, (-31.0, -30.0), 0.0)  # < 3 periods
     g = solve_left_launch(make_params(0.0, 0.3), -30.0, 4.0, 1e-8)
@@ -108,7 +126,7 @@ def test_fit_oscillation_window_validation():
 def test_fit_oscillation_budget_exhausted(monkeypatch):
     monkeypatch.setattr(pii, "_FIT_MAX_NFEV", 1)
     with pytest.raises(FitConvergenceError):
-        fit_oscillation(_ModelGrid(0.3, 1.0, 0.0), (-60.0, -30.0), 0.0)
+        fit_oscillation(_model_grid(0.3, 1.0, 0.0), (-60.0, -30.0), 0.0)
 
 
 def test_left_launch_self_consistency():
