@@ -157,8 +157,6 @@ def _suite_connection(opts) -> Iterator[tuple]:
     p = opts["params"]
     sol = tuned_solution(p)
     yield "connection.seam_at_x_match", sol.seam_jump, 0.0, 5e-3
-    if p.degenerate:
-        return
     c = sol.connection
     if p.alpha == 0.0:
         grid = solve_right_launch_homogeneous(p.k, 12.0, -60.0, 1e-11)
@@ -201,7 +199,8 @@ def _suite_pde(opts) -> Iterator[tuple]:
     field = SelfSimilarField(opts["params"], 1.0)
     r1 = pde_residual_fd(field, (-3.0, 3.0), 0.05)
     r2 = pde_residual_fd(field, (-3.0, 3.0), 0.025)
-    yield "pde.fd_convergence_ratio", r1 / r2, 4.0, 0.5
+    if r2 > 0.0:  # the zero field's residual is 0 at every h
+        yield "pde.fd_convergence_ratio", r1 / r2, 4.0, 0.5
     yield "pde.closure_residual", pde_residual_closure(field, (-3.0, 3.0)), 0.0, 1e-9
 
 
@@ -268,14 +267,12 @@ def emit_grid(opts: dict) -> str:
     xs = x_lo + step * np.arange(n + 1)
     sol = tuned_solution(p)
     v, vp = sol.v(xs)
-    c = sol.connection
     # one array call per model column; "nan" marks rows outside a model
     osc = np.full_like(xs, np.nan)
     r_full = np.full_like(xs, np.nan)
     neg = xs <= -1.0
-    if c is not None:
-        osc[neg] = v_neg_asym(xs[neg], p, c, include_alpha_term=False)[0]
-        r_full[neg] = np.abs(v[neg] - osc[neg] - p.alpha / xs[neg])
+    osc[neg] = v_neg_asym(xs[neg], p, sol.connection, include_alpha_term=False)[0]
+    r_full[neg] = np.abs(v[neg] - osc[neg] - p.alpha / xs[neg])
     pos = np.full_like(xs, np.nan)
     right = xs >= 1.0
     pos[right] = v_pos_asym(xs[right], p.alpha)[0]

@@ -168,8 +168,6 @@ def _symmetric_transform(p: ASParams, xi: float, x_cut: float,
     what they omit exceeds ``tol``."""
     if not x_cut >= 20.0:
         raise DomainError("tail cutoff must be >= 20")
-    if p.degenerate:
-        return 0.0 + 0.0j
     sol = solution if solution is not None else tuned_solution(p)
     tails, est = _tails(p, sol.connection, x_cut, xi, sol.x_match)
     value = _core_quadrature(sol, -x_cut, x_cut, xi) + tails

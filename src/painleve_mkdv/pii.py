@@ -30,6 +30,9 @@ above the solve's tolerance there, which happens only for d above 1.3
 (1.75 at alpha = 0); it reaches -240 at d ~ 3.35.  The seam at x = 4 is
 the truncation floor of the decaying model there, below 5e-3 for d up to
 1.5.
+
+The zero profile, (alpha, k) = (0, 0), takes the same path with (d, phi) =
+(0, 0): every model is then 0, and so is the solve from (v, v') = (0, 0).
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import least_squares
 
-from .asymptotics import (LAUNCH_DEPTHS, LAUNCH_TOL, launch_depth, psi_tilde,
-                          v_neg_launch, v_pos_asym)
+from .asymptotics import (LAUNCH_TOL, launch_depth, psi_tilde, v_neg_launch,
+                          v_pos_asym)
 from .errors import (BlowupError, DomainError, FitConvergenceError,
                      GridRangeError)
 from .specfun import airy_ai
@@ -82,8 +85,8 @@ def pii_rhs(x: float, v: float, alpha: float) -> float:
 class SolutionGrid:
     """Dense ODE output: solver abscissas, (v, v') states, and metadata.
 
-    ``evaluate`` uses the integrator's dense output and is vectorized over x.
-    A degenerate grid (identically zero solution) carries no interpolant.
+    ``evaluate`` uses the integrator's dense output and is vectorized over x;
+    every grid the solver returns carries one, the zero profile's included.
     """
 
     abscissas: np.ndarray
@@ -107,15 +110,10 @@ class SolutionGrid:
 
     def evaluate(self, x):
         x_arr = np.asarray(x, dtype=float)
-        if self._dense is None:
-            v = np.zeros_like(x_arr)
-            vp = np.zeros_like(x_arr)
-        else:
-            if np.any(x_arr < self.x_min - 1e-12) or np.any(x_arr > self.x_max + 1e-12):
-                raise GridRangeError(
-                    f"x outside grid range [{self.x_min:g}, {self.x_max:g}]")
-            out = self._dense(x_arr)
-            v, vp = out[0], out[1]
+        if np.any(x_arr < self.x_min - 1e-12) or np.any(x_arr > self.x_max + 1e-12):
+            raise GridRangeError(
+                f"x outside grid range [{self.x_min:g}, {self.x_max:g}]")
+        v, vp = self._dense(x_arr)
         if x_arr.ndim == 0:
             return float(v), float(vp)
         return v, vp
@@ -269,9 +267,9 @@ def _integrate(y0, x_start, x_end, alpha, tol):
                         n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, dense)
 
 
-def _zero_grid(x_start, x_end, tol):
-    xs = np.array([x_start, x_end], dtype=float)
-    return SolutionGrid(xs, np.zeros((2, 2)), float(x_start), tol)
+def _connection(p: ASParams) -> ConnectionConstants:
+    """(d, phi) of p; the zero profile, whose phi is undefined, takes (0, 0)."""
+    return ConnectionConstants(0.0, 0.0) if p.degenerate else connection_constants(p)
 
 
 def solve_left_launch(p: ASParams, x_start: float, x_end: float,
@@ -289,10 +287,7 @@ def solve_left_launch(p: ASParams, x_start: float, x_end: float,
         raise DomainError("left launch requires x_start <= -20")
     if not (x_start < x_end <= 6.0):
         raise DomainError("left launch requires x_start < x_end <= 6")
-    if p.degenerate:
-        return _zero_grid(x_start, x_end, tol)
-    c = connection_constants(p)
-    y0 = v_neg_launch(x_start, p, c)
+    y0 = v_neg_launch(x_start, p, _connection(p))
     return _integrate(y0, x_start, x_end, p.alpha, tol)
 
 
@@ -309,8 +304,6 @@ def solve_right_launch_homogeneous(k: float, x_start: float, x_end: float,
         raise DomainError("right launch requires x_start >= 8")
     if x_end >= x_start:
         raise DomainError("right launch integrates leftward: x_end < x_start")
-    if k == 0.0:
-        return _zero_grid(x_start, x_end, tol)
     ai, aip = airy_ai(x_start)
     return _integrate((k * ai, k * aip), x_start, x_end, 0.0, tol)
 
@@ -338,7 +331,7 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     xs, data = grid.abscissas[inside], grid.states[inside, 0]
     s = -xs
     resid0 = data - alpha / xs
-    d0 = float(np.max(np.abs(resid0) * s ** 0.25, initial=0.0))
+    d0 = float(np.max(np.abs(resid0) * s ** 0.25))
     if d0 == 0.0:
         return 0.0, 0.0
     psi0 = psi_tilde(s, ConnectionConstants(d0, 0.0))[0]
@@ -381,11 +374,8 @@ class AblowitzSegurSolution:
 
     def __init__(self, params: ASParams):
         self.params = params
-        if params.degenerate:
-            self.connection, s_left, self.launch_error = None, LAUNCH_DEPTHS[0], 0.0
-        else:
-            self.connection = connection_constants(params)
-            s_left, self.launch_error = launch_depth(self.connection, params.alpha)
+        self.connection = _connection(params)
+        s_left, self.launch_error = launch_depth(self.connection, params.alpha)
         self.x_left = -s_left
         self.grid = solve_left_launch(params, self.x_left, self.x_match, DEFAULT_TOL)
         v_grid = self.grid.evaluate(self.x_match)[0]
@@ -398,20 +388,15 @@ class AblowitzSegurSolution:
         x_arr = np.atleast_1d(x_arr).astype(float)
         v = np.empty_like(x_arr)
         vp = np.empty_like(x_arr)
-        if self.params.degenerate:
-            v[:] = 0.0
-            vp[:] = 0.0
-        else:
-            left = x_arr < self.x_left
-            right = x_arr > self.x_match
-            mid = ~(left | right)
-            if np.any(left):
-                v[left], vp[left] = v_neg_launch(x_arr[left], self.params,
-                                                 self.connection)
-            if np.any(mid):
-                v[mid], vp[mid] = self.grid.evaluate(x_arr[mid])
-            if np.any(right):
-                v[right], vp[right] = v_pos_asym(x_arr[right], self.params.alpha)
+        left = x_arr < self.x_left
+        right = x_arr > self.x_match
+        mid = ~(left | right)
+        if np.any(left):
+            v[left], vp[left] = v_neg_launch(x_arr[left], self.params, self.connection)
+        if np.any(mid):
+            v[mid], vp[mid] = self.grid.evaluate(x_arr[mid])
+        if np.any(right):
+            v[right], vp[right] = v_pos_asym(x_arr[right], self.params.alpha)
         if scalar:
             return float(v[0]), float(vp[0])
         return v, vp
@@ -429,8 +414,6 @@ def dense_residual(grid: SolutionGrid, xs, alpha: float) -> float:
     """Max |d(v')/dx - (x v + 2 v^3 - alpha)| over xs, differentiating the
     dense-output interpolant."""
     xs = np.asarray(xs, dtype=float)
-    if grid._dense is None:
-        return 0.0
     v, _ = grid.evaluate(xs)
     vp_plus = grid.evaluate(xs + _FD_STEP)[1]
     vp_minus = grid.evaluate(xs - _FD_STEP)[1]

@@ -109,11 +109,14 @@ def stokes_triple(p: ASParams) -> StokesTriple:
 
 def _d_squared(p: ASParams) -> float:
     """d^2 = -ln(cos^2(pi alpha) - k^2) / pi."""
-    # cos^2(pi alpha) - k^2 = 1 - s1*s3, real and in (0, 1] on the domain; the
-    # product does not cancel as |k| -> cos(pi alpha), and it is positive
-    # wherever make_params accepts k, since both use the same c
+    # g = cos^2(pi alpha) - k^2 = 1 - s1*s3: near the edge (c - k)(c + k) keeps
+    # its digits and is > 0 wherever make_params accepts k (same c); near (0, 0)
+    # g rounds towards 1 and ln g loses d^2, so there log1p takes s1*s3 itself
     c, k = _edge_cosine(p.alpha), abs(p.k)
-    return -math.log((c - k) * (c + k)) / math.pi
+    g = (c - k) * (c + k)
+    if g > 0.5:
+        return -math.log1p(-(math.sin(math.pi * p.alpha) ** 2 + k * k)) / math.pi
+    return -math.log(g) / math.pi
 
 
 def connection_constants(p: ASParams) -> ConnectionConstants:

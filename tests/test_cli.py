@@ -120,6 +120,22 @@ def test_rh_checks_suite_passes(tmp_path, alpha, k):
     assert main(argv) == EXIT_OK
 
 
+def test_all_suites_pass_at_the_zero_pair(tmp_path):
+    # the zero field's FD residual is 0 at every h, so the pde suite yields
+    # no convergence ratio there; every other check runs
+    for argv in (["--alpha", "0", "--k", "0"], ["--a", "0", "--b", "0"]):
+        report = tmp_path / "all.jsonl"
+        assert main(["all"] + argv + ["--out", str(report)]) == EXIT_OK
+
+
+def test_connection_suite_at_the_zero_pair():
+    # the zero profile runs every connection check, each exact
+    zero = run_suite("connection", {"params": make_params(0.0, 0.0)})
+    nonzero = run_suite("connection", {"params": make_params(0.0, 0.5)})
+    assert [r.check_id for r in zero] == [r.check_id for r in nonzero]
+    assert all(r.passed and r.abs_err == 0.0 for r in zero)
+
+
 def test_suite_check_ids_are_stable():
     # the benchmark parses these ids, in this order, and reads xi back from
     # the fourier ones

@@ -35,6 +35,26 @@ def test_degenerate_zero_grid():
     assert tuned_solution(make_params(0.0, 0.0)).v(1.2345) == (0.0, 0.0)
 
 
+def test_zero_profile_is_solved_like_any_other():
+    # the zero pair's grid is a real solve from (v, v') = (0, 0): exactly 0
+    # on its range, and out of range it raises as every grid does
+    sol = tuned_solution(make_params(0.0, 0.0))
+    v, vp = sol.v(np.linspace(-300.0, 50.0, 3501))
+    assert np.all(v == 0.0) and np.all(vp == 0.0)
+    assert len(sol.grid.abscissas) > 2 and sol.seam_jump == 0.0
+    with pytest.raises(GridRangeError):
+        sol.grid.evaluate(10.0)
+
+
+@pytest.mark.parametrize("x", [-5.0, 2.0])
+def test_profile_near_the_zero_pair_is_k_ai(x):
+    # at k = 1e-9 the profile is k Ai to within O(k^3); d^2 = 3.2e-19 is
+    # kept by log1p, where ln((c - k)(c + k)) rounds it to 0
+    k = 1e-9
+    v = tuned_solution(make_params(0.0, k)).v(x)[0]
+    assert abs(v / (k * airy_ai(x)[0]) - 1.0) < 1e-6
+
+
 def test_launch_domain_validation():
     p = make_params(0.0, 0.5)
     with pytest.raises(DomainError, match="x_start <= -20"):
@@ -93,7 +113,7 @@ def test_read_back_uses_the_solver_states(k, monkeypatch):
 
 
 def test_read_back_of_the_zero_grid():
-    # k = 0 gives the zero grid, whose two end nodes lie outside the window
+    # k = 0 gives the zero profile, whose nodes in the window all carry v = 0
     grid = solve_right_launch_homogeneous(0.0, 12.0, -60.0, 1e-11)
     assert fit_oscillation(grid, (-50.0, -30.0), 0.0) == (0.0, 0.0)
 
