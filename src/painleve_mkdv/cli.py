@@ -39,9 +39,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-SUITES = ("connection", "total-integral", "fourier-limit", "pde",
-          "rh-checks", "specfun", "all")
-
 _CONFIG_KEYS = {
     "alpha": float,
     "k": float,
@@ -54,6 +51,8 @@ _CONFIG_KEYS = {
     "cutoff": float,
     "out": str,
 }
+_FLAG_KEYS = ("alpha", "k", "a", "b", "out", "tol")  # the keys also given as --flags
+_FLAG_HELP = {"out": "output path (report .jsonl or grid .csv)"}
 
 
 @dataclass
@@ -68,11 +67,7 @@ class CheckReport:
 
     def to_json(self) -> str:
         def enc(v):
-            if isinstance(v, complex):
-                return [v.real, v.imag]
-            if isinstance(v, (np.floating, np.complexfloating)):
-                return enc(complex(v)) if np.iscomplexobj(v) else float(v)
-            return v
+            return [float(v.real), float(v.imag)] if np.iscomplexobj(v) else float(v)
         rec = {
             "check_id": self.check_id,
             "lhs": enc(self.lhs),
@@ -113,16 +108,20 @@ def parse_config(path: str) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".painleve-mkdv-")
+    """Write text to path through a temporary file; ``ConfigError`` if it cannot."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".painleve-mkdv-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +225,21 @@ def _suite_rh(opts) -> Iterator[tuple]:
 
 
 _SUITE_FUNCS = {
-    "specfun": _suite_specfun,
     "connection": _suite_connection,
     "total-integral": _suite_total_integral,
     "fourier-limit": _suite_fourier,
     "pde": _suite_pde,
     "rh-checks": _suite_rh,
+    "specfun": _suite_specfun,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, opts: dict) -> list[CheckReport]:
     """Run one suite, or every suite for "all".  Each suite yields
     (check_id, lhs, rhs, tol); a check's runtime is the time its suite took
     to yield it."""
-    names = [s for s in SUITES if s != "all"] if name == "all" else [name]
+    names = list(_SUITE_FUNCS) if name == "all" else [name]
     reports: list[CheckReport] = []
     for n in names:
         t0 = time.perf_counter()
@@ -297,12 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Ablowitz-Segur Painleve II profiles")
     ap.add_argument("command", choices=SUITES + ("grid",))
     ap.add_argument("--config", help="plain-text KEY = VALUE configuration file")
-    ap.add_argument("--alpha", type=float)
-    ap.add_argument("--k", type=float)
-    ap.add_argument("--a", type=float)
-    ap.add_argument("--b", type=float)
-    ap.add_argument("--out", help="output path (report .jsonl or grid .csv)")
-    ap.add_argument("--tol", type=float)
+    for key in _FLAG_KEYS:
+        ap.add_argument(f"--{key}", type=_CONFIG_KEYS[key], help=_FLAG_HELP.get(key))
     return ap
 
 
@@ -310,7 +306,7 @@ def _resolve_options(args) -> dict:
     opts: dict = {}
     if args.config:
         opts.update(parse_config(args.config))
-    for key in ("alpha", "k", "a", "b", "out", "tol"):
+    for key in _FLAG_KEYS:
         val = getattr(args, key)
         if val is not None:
             opts[key] = val
@@ -345,14 +341,14 @@ def main(argv=None) -> int:
             print(f"grid written to {out_path}")
             return EXIT_OK
         reports = run_suite(args.command, opts)
+        out_path = opts.get("out", "painleve-mkdv-report.jsonl")
+        _atomic_write(out_path, "".join(r.to_json() + "\n" for r in reports))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PainleveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    out_path = opts.get("out", "painleve-mkdv-report.jsonl")
-    _atomic_write(out_path, "".join(r.to_json() + "\n" for r in reports))
     all_pass = True
     for r in reports:
         status = "PASS" if r.passed else "FAIL"

@@ -60,25 +60,14 @@ class SelfSimilarField:
             raise DomainError("self-similar field requires t > 0")
         self.params = params
         self.t = float(t)
-        self._solution = solution
-
-    @property
-    def solution(self) -> AblowitzSegurSolution:
-        if self._solution is None:
-            self._solution = tuned_solution(self.params)
-        return self._solution
+        self.solution = solution if solution is not None else tuned_solution(params)
 
     def u(self, x, t: float | None = None):
         """u(t, x); vectorized over x.  An explicit t reuses the same profile
         grid (self-similarity), never a new solve."""
         t_eval = self.t if t is None else float(t)
         scale = (3.0 * t_eval) ** (-1.0 / 3.0)
-        x_arr = np.asarray(x, dtype=float)
-        v = self.solution.v(x_arr * scale)[0]
-        u = -2.0 * scale * v
-        if x_arr.ndim == 0:
-            return float(u)
-        return u
+        return -2.0 * scale * self.solution.v(np.asarray(x, dtype=float) * scale)[0]
 
 
 def u_hat(field: SelfSimilarField, xi: float) -> complex:

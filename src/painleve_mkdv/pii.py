@@ -69,9 +69,6 @@ __all__ = [
 
 BLOWUP_THRESHOLD = 1.0e6
 
-DEFAULT_TOL = LAUNCH_TOL  # the launch data are exact to the solve's tolerance
-DEFAULT_X_MATCH = 4.0
-
 _FIT_MAX_NFEV = 200  # least-squares evaluation budget of fit_oscillation
 _FD_STEP = 1e-6  # central-difference step of dense_residual
 
@@ -92,7 +89,6 @@ class SolutionGrid:
     abscissas: np.ndarray
     states: np.ndarray
     launch_point: float
-    tolerance: float
     rejected_steps: int = 0  # accepted steps: len(abscissas) - 1
     rhs_evals: int = 0
     _dense: object = field(default=None, repr=False)
@@ -104,9 +100,6 @@ class SolutionGrid:
     @property
     def x_max(self) -> float:
         return float(max(self.abscissas[0], self.abscissas[-1]))
-
-    def covers(self, x_lo: float, x_hi: float) -> bool:
-        return self.x_min <= x_lo and x_hi <= self.x_max
 
     def evaluate(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -263,8 +256,8 @@ def _integrate(y0, x_start, x_end, alpha, tol):
         ys.extend((v, w))
     dense = _dense_output(xs, ys, stages, alpha)
     n = len(xs) - 1  # f: twice before the loop, 12 per attempt, 3 per interpolant
-    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2), float(x_start), tol,
-                        n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, dense)
+    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2), float(x_start), n_rejected,
+                        2 + 12 * (n + n_rejected) + 3 * n, dense)
 
 
 def _connection(p: ASParams) -> ConnectionConstants:
@@ -323,7 +316,7 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     x_lo, x_hi = float(window[0]), float(window[1])
     if not (x_lo < x_hi < 0.0):
         raise DomainError("fit window must satisfy x_lo < x_hi < 0")
-    if not grid.covers(x_lo, x_hi):
+    if not grid.x_min <= x_lo < x_hi <= grid.x_max:
         raise GridRangeError("grid does not cover the fit window")
     if x_hi - x_lo < 6.0 * math.pi / math.sqrt(-x_hi):
         raise DomainError("fit window shorter than 3 oscillation periods")
@@ -340,10 +333,11 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     p = ASParams(alpha, 0.0)
 
     def model_resid(theta):
-        return v_neg_launch(xs, p, ConnectionConstants(*theta))[0] - data
+        return (v_neg_launch(xs, p, ConnectionConstants(*theta))[0] - data) / d0
 
-    # tolerances 1e-12: the fit is good to ~1e-10 at best, and tighter ones
-    # only add iterations that move (d, phi) by < 1e-12
+    # residuals in units of d0, so the stopping tolerances act alike at every
+    # d; 1e-12: the fit is good to ~1e-10 at best, and tighter ones only add
+    # iterations that move (d, phi) by < 1e-12
     res = least_squares(model_resid, (math.hypot(a, b), math.atan2(-b, a)),
                         bounds=((0.0, -2.0 * math.pi), (np.inf, 2.0 * math.pi)),
                         xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=_FIT_MAX_NFEV)
@@ -370,34 +364,29 @@ class AblowitzSegurSolution:
     to ~1e-3 for the acceptance pairs).
     """
 
-    x_match = DEFAULT_X_MATCH
+    x_match = 4.0
 
     def __init__(self, params: ASParams):
         self.params = params
         self.connection = _connection(params)
         s_left, self.launch_error = launch_depth(self.connection, params.alpha)
         self.x_left = -s_left
-        self.grid = solve_left_launch(params, self.x_left, self.x_match, DEFAULT_TOL)
+        self.grid = solve_left_launch(params, self.x_left, self.x_match, LAUNCH_TOL)
         v_grid = self.grid.evaluate(self.x_match)[0]
         self.seam_jump = abs(v_grid - v_pos_asym(self.x_match, params.alpha)[0])
 
     def v(self, x):
         """Return (v, v') at x (scalar or array)."""
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr).astype(float)
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         v = np.empty_like(x_arr)
         vp = np.empty_like(x_arr)
-        left = x_arr < self.x_left
-        right = x_arr > self.x_match
-        mid = ~(left | right)
-        if np.any(left):
-            v[left], vp[left] = v_neg_launch(x_arr[left], self.params, self.connection)
-        if np.any(mid):
-            v[mid], vp[mid] = self.grid.evaluate(x_arr[mid])
-        if np.any(right):
-            v[right], vp[right] = v_pos_asym(x_arr[right], self.params.alpha)
-        if scalar:
+        left, right = x_arr < self.x_left, x_arr > self.x_match
+        for mask, model in ((left, lambda xs: v_neg_launch(xs, self.params, self.connection)),
+                            (~(left | right), self.grid.evaluate),
+                            (right, lambda xs: v_pos_asym(xs, self.params.alpha))):
+            if np.any(mask):
+                v[mask], vp[mask] = model(x_arr[mask])
+        if np.ndim(x) == 0:
             return float(v[0]), float(vp[0])
         return v, vp
 

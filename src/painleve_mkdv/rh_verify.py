@@ -18,6 +18,7 @@ Conventions fixed here and used throughout:
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
@@ -96,14 +97,10 @@ def phase_maps(z):
     return theta, eta, zeta
 
 
-def _on_segment(z: complex, tol: float = 1e-12) -> bool:
-    return abs(z.imag) <= tol and -0.5 - tol <= z.real <= 0.5 + tol
-
-
 def n_matrix(z: complex, nu: complex) -> np.ndarray:
     """Diagonal matrix ((z+1/2)/(z-1/2))^{nu sigma3}, cut on [-1/2, 1/2]."""
     z = complex(z)
-    if _on_segment(z):
+    if abs(z.imag) <= 1e-12 and -0.5 - 1e-12 <= z.real <= 0.5 + 1e-12:
         raise BranchCutError("n_matrix undefined on the segment [-1/2, 1/2]")
     ratio = (z + 0.5) / (z - 0.5)
     power = cmath.exp(nu * cmath.log(ratio))
@@ -130,23 +127,22 @@ def beta_fn(z, t: float, nu: complex):
     return xm.exp(nu * log_base)
 
 
-_CIRCLE_NODES = 256
+_CIRCLE_NODES, _CIRCLE_MAX_NODES, _CIRCLE_TOL = 256, 16384, 1e-10
 
 
-def _circle_integral(f, circle: ContourCircle, tol: float = 1e-10,
-                     max_nodes: int = 16384) -> complex:
+def _circle_integral(f, circle: ContourCircle) -> complex:
     """Spectral trapezoid quadrature of a clockwise contour integral over the
     circle, node-doubling from _CIRCLE_NODES until two successive
-    refinements agree."""
+    refinements agree to _CIRCLE_TOL (relative above 1)."""
     n = _CIRCLE_NODES
     prev = None
-    while n <= max_nodes:
+    while n <= _CIRCLE_MAX_NODES:
         theta = 2.0 * math.pi * np.arange(n) / n
         pos = np.exp(-1j * theta)
         zs = circle.center + circle.radius * pos
         dz = -1j * circle.radius * pos * (2.0 * math.pi / n)
         total = complex(np.sum(f(zs) * dz))
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) < _CIRCLE_TOL * max(1.0, abs(total)):
             return total
         prev = total
         n *= 2
@@ -218,15 +214,7 @@ def _z_sector(w: complex) -> int:
     for ray in _SECTOR_RAYS:
         if abs(arg - ray) < 1e-8:
             raise SectorBoundaryError(f"w on a sector boundary ray (arg = {arg:.6f})")
-    if arg < 0.0:
-        return 0
-    if arg < 0.5 * math.pi:
-        return 1
-    if arg < math.pi:
-        return 2
-    if arg < 1.5 * math.pi:
-        return 3
-    return 4
+    return bisect.bisect_right(_SECTOR_RAYS[1:5], arg)
 
 
 # Per sector: (rotation rot_r of the recessive column with D_nu, rotation

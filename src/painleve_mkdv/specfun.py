@@ -66,18 +66,13 @@ def log_gamma(z: complex) -> complex:
     half-plane, whatever the sign of a zero imaginary part.
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError("log_gamma requires finite z")
     if z.imag == 0.0:
         if z.real <= 0.0 and z.real == int(z.real):
             raise PoleError(f"log_gamma pole at z = {z.real:g}")
         z = complex(z.real, 0.0)  # scipy takes the lower side for -0.0j
     return complex(loggamma(z))
-
-
-def _rgamma(z: complex) -> complex:
-    """1/Gamma(z), zero at the poles of Gamma."""
-    return complex(rgamma(z))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +175,8 @@ def _pcf_series(nu: complex, z: complex) -> tuple[complex, complex]:
     s1, ds1 = _kummer(-0.5 * nu, 0.5, w)
     s2, ds2 = _kummer(0.5 * (1.0 - nu), 1.5, w)
     pre = cmath.exp(0.5 * nu * math.log(2.0))
-    a_coef = _SQRT_PI * pre * _rgamma(0.5 * (1.0 - nu))
-    b_coef = -math.sqrt(2.0 * math.pi) * pre * _rgamma(-0.5 * nu)
+    a_coef = _SQRT_PI * pre * complex(rgamma(0.5 * (1.0 - nu)))
+    b_coef = -math.sqrt(2.0 * math.pi) * pre * complex(rgamma(-0.5 * nu))
     env = cmath.exp(-0.5 * w)
     even = a_coef * s1
     odd = b_coef * z * s2
@@ -226,7 +221,7 @@ def _pcf_connect(nu: complex, z: complex, ev) -> tuple[complex, complex]:
     else:
         phase, rot = -1.0, 1.0j
     c1 = cmath.exp(phase * 1j * math.pi * nu)
-    c2 = (math.sqrt(2.0 * math.pi) * _rgamma(-nu)
+    c2 = (math.sqrt(2.0 * math.pi) * complex(rgamma(-nu))
           * cmath.exp(phase * 1j * math.pi * (nu + 1.0) / 2.0))
     v1, d1 = ev(nu, -z)
     v2, d2 = ev(-nu - 1.0, rot * z)
@@ -292,9 +287,8 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     """
     nu = complex(nu)
     z = complex(z)
-    for part in (nu.real, nu.imag, z.real, z.imag):
-        if not math.isfinite(part):
-            raise ValueError("pcf_d requires finite nu, z")
+    if not (cmath.isfinite(nu) and cmath.isfinite(z)):
+        raise ValueError("pcf_d requires finite nu, z")
     r = abs(z)
     if r > _PCF_MAX_ABS:
         raise SpecFunRangeError(f"pcf_d argument |z| = {r:.3g} exceeds supported range 50")

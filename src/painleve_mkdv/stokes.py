@@ -136,7 +136,7 @@ def connection_constants(p: ASParams) -> ConnectionConstants:
         raise DegenerateParamsError("d underflows to zero for these parameters")
     d = math.sqrt(d2)
     arg_gamma = log_gamma(0.5j * d2).imag
-    arg_s1 = math.atan2(-p.k, -math.sin(math.pi * p.alpha))
+    arg_s1 = cmath.phase(stokes_triple(p).s1)
     phi = -1.5 * d2 * math.log(2.0) + arg_gamma - 0.25 * math.pi - arg_s1
     return ConnectionConstants(d, reduce_angle(phi))
 

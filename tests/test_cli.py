@@ -54,6 +54,14 @@ def test_config_parsing(tmp_path):
         parse_config(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize("command", ["specfun", "grid"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, "--alpha", "0.25", "--k", "0.3", "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_conflicting_parameterizations(tmp_path):
     assert main(["specfun", "--alpha", "0.1", "--a", "1.0"]) == EXIT_CONFIG
 

@@ -112,6 +112,16 @@ def test_read_back_uses_the_solver_states(k, monkeypatch):
     assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) < phi_bound
 
 
+@pytest.mark.parametrize("k", [1e-9, 1e-7])
+def test_read_back_phase_at_small_d(k):
+    # d ~ 0.56 k: the fit's stopping tolerances must not act on the scale of d
+    grid = solve_right_launch_homogeneous(k, 12.0, -60.0, 1e-11)
+    d_fit, phi_fit = fit_oscillation(grid, (-60.0, -30.0), 0.0)
+    c = connection_constants(make_params(0.0, k))
+    assert abs(d_fit - c.d) < 1e-6 * c.d
+    assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) <= 1e-9
+
+
 def test_read_back_of_the_zero_grid():
     # k = 0 gives the zero profile, whose nodes in the window all carry v = 0
     grid = solve_right_launch_homogeneous(0.0, 12.0, -60.0, 1e-11)
@@ -124,7 +134,7 @@ def _model_grid(d, phi, alpha):
     xs = np.arange(-60.0, -20.0, _max_step_for((-60.0, 4.0)))
     states = np.column_stack(v_neg_launch(xs, ASParams(alpha, 0.0),
                                           ConnectionConstants(d, phi)))
-    return pii.SolutionGrid(xs, states, -60.0, 0.0)
+    return pii.SolutionGrid(xs, states, -60.0)
 
 
 def test_fit_oscillation_round_trip():
@@ -407,7 +417,7 @@ def test_launch_point_follows_the_omitted_orders():
     # shallow launches for small d, deeper ones for larger d, and the
     # estimate meets the solve's tolerance (to rounding) wherever x_left is
     # not at its cap
-    tol = pii.DEFAULT_TOL * (1.0 + 1e-12)
+    tol = pii.LAUNCH_TOL * (1.0 + 1e-12)
     s_min, s_max = LAUNCH_DEPTHS
     depths = []
     for d in (0.5, 1.5, 1.9, 2.3, 2.8, 4.0):
