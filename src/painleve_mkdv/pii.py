@@ -17,9 +17,9 @@ in [0.2, 10], exponent -1/8, the err5/err3 RMS norm), so it takes the same
 steps as ``solve_ivp(method="DOP853")``.  The step is straight-line code
 generated from the tableau at import, with every stage sum written out and
 the right-hand side inlined; it rounds as a loop over the tableau rows does.
-The three extra dense stages are formed for all steps in one numpy pass,
-and the interpolants are scipy's ``Dop853DenseOutput`` inside a public
-``OdeSolution``, so dense evaluation stays scipy's tested code path.
+The three extra dense stages and all steps' interpolant coefficients are
+formed in one numpy pass into one (n, 7, 2) array (~0.23 MB from -60 to 4),
+evaluated bit for bit as scipy's DOP853 dense output in a public ``OdeSolution``.
 
 The one evaluator, ``tuned_solution(p)``, is a cached
 ``AblowitzSegurSolution``: a single left launch from x_left, seeded from the
@@ -40,12 +40,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.integrate import OdeSolution
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import least_squares
 
 from .asymptotics import (LAUNCH_TOL, launch_depth, psi_tilde, v_neg_launch,
@@ -78,12 +77,40 @@ def pii_rhs(x: float, v: float, alpha: float) -> float:
     return x * v + 2.0 * v ** 3 - alpha
 
 
+class _Interpolants:
+    """A grid's steps as ``OdeSolution`` indexes them, each doing scipy's DOP853
+    dense-output arithmetic on its row of the store.  One searchsorted + Horner
+    pass replaces this once the benchmark can read its speed (ROADMAP item 6)."""
+
+    def __init__(self, grid):
+        self.ts, self.ys, self.fs = grid.abscissas, grid.states, grid.coefficients
+
+    def __len__(self):
+        return len(self.fs)
+
+    def __getitem__(self, i):
+        return partial(self._interpolate, i)
+
+    def _interpolate(self, i, t):
+        t = np.asarray(t)
+        t_old = self.ts.item(i)
+        x = (t - t_old) / (self.ts.item(i + 1) - t_old)
+        x, y = x[:, None] if t.ndim else x, np.zeros(t.shape + (2,))
+        for f, factor in zip(reversed(self.fs[i]), (x, 1 - x) * 4):
+            y += f
+            y *= factor
+        y += self.ys[i]
+        return y.T
+
+
 @dataclass
 class SolutionGrid:
     """Dense ODE output: solver abscissas, (v, v') states, and metadata.
 
     ``evaluate`` uses the integrator's dense output and is vectorized over x;
-    every grid the solver returns carries one, the zero profile's included.
+    every grid the solver returns carries one, the zero profile's included:
+    read-only ``coefficients`` (n, 7, 2) for the steps from ``states[:-1]``,
+    ~0.23 MB from -60 to 4.
     """
 
     abscissas: np.ndarray
@@ -91,7 +118,11 @@ class SolutionGrid:
     launch_point: float
     rejected_steps: int = 0  # accepted steps: len(abscissas) - 1
     rhs_evals: int = 0
-    _dense: object = field(default=None, repr=False)
+    coefficients: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def _dense(self):
+        return OdeSolution(self.abscissas, _Interpolants(self))
 
     @property
     def x_min(self) -> float:
@@ -174,10 +205,8 @@ def _initial_step(x, v, w, fw, x_end, direction, max_step, alpha, rtol, atol):
     return min(100.0 * h0, h1, span, max_step)
 
 
-def _dense_output(xs, ys, stages, alpha):
-    """scipy's DOP853 interpolants for every step, from the kept stages."""
-    t = np.array(xs)
-    y = np.frombuffer(ys).reshape(-1, 2)
+def _dense_coefficients(t, y, stages, alpha):
+    """scipy's DOP853 interpolant coefficients, (n, 7, 2), from the kept stages."""
     h = np.diff(t)
     n = len(h)
     k = np.frombuffer(stages).reshape(n, 2, _N_KEPT)
@@ -195,7 +224,7 @@ def _dense_output(xs, ys, stages, alpha):
     f[:, 2] = 2.0 * delta - h[:, None] * (k[:, :, _N_KEPT - 1] + k[:, :, 0])
     f[:, 3:] = h[:, None, None] * (np.einsum("ds,njs->ndj", _dop.D[:, :_N_KEPT], k)
                                    + np.einsum("ds,njs->ndj", _dop.D[:, _N_KEPT:], extra))
-    return OdeSolution(t, list(map(Dop853DenseOutput, xs[:-1], xs[1:], y_old, f)))
+    return f
 
 
 def _integrate(y0, x_start, x_end, alpha, tol):
@@ -254,10 +283,11 @@ def _integrate(y0, x_start, x_end, alpha, tol):
         x, v, w, fw = x_new, v_new, w_new, k[-1]
         xs.append(x)
         ys.extend((v, w))
-    dense = _dense_output(xs, ys, stages, alpha)
+    t, y = np.array(xs), np.frombuffer(ys).reshape(-1, 2)
+    f = _dense_coefficients(t, y, stages, alpha)
+    t.flags.writeable = y.flags.writeable = f.flags.writeable = False  # profiles are shared
     n = len(xs) - 1  # f: twice before the loop, 12 per attempt, 3 per interpolant
-    return SolutionGrid(dense.ts, np.frombuffer(ys).reshape(-1, 2), float(x_start), n_rejected,
-                        2 + 12 * (n + n_rejected) + 3 * n, dense)
+    return SolutionGrid(t, y, float(x_start), n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, f)
 
 
 def _connection(p: ASParams) -> ConnectionConstants:
@@ -335,12 +365,12 @@ def fit_oscillation(grid: SolutionGrid, window: tuple[float, float],
     def model_resid(theta):
         return (v_neg_launch(xs, p, ConnectionConstants(*theta))[0] - data) / d0
 
-    # residuals in units of d0, so the stopping tolerances act alike at every
-    # d; 1e-12: the fit is good to ~1e-10 at best, and tighter ones only add
-    # iterations that move (d, phi) by < 1e-12
+    # residuals in units of d0, so the tolerances act alike at every d; the
+    # fit is good to ~1e-10 at best, and its optimality stalls at <= 7.4e-12
+    # (right launches, k = 0.05 ... 0.9999), which gtol = 1e-10 stops on
     res = least_squares(model_resid, (math.hypot(a, b), math.atan2(-b, a)),
                         bounds=((0.0, -2.0 * math.pi), (np.inf, 2.0 * math.pi)),
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=_FIT_MAX_NFEV)
+                        xtol=1e-12, ftol=1e-12, gtol=1e-10, max_nfev=_FIT_MAX_NFEV)
     if not res.success or not np.all(np.isfinite(res.x)):
         raise FitConvergenceError(f"oscillation fit did not converge: {res.message}")
     d_fit, phi_fit = res.x
@@ -394,8 +424,8 @@ class AblowitzSegurSolution:
 @lru_cache(maxsize=32)
 def tuned_solution(p: ASParams) -> AblowitzSegurSolution:
     """The evaluator for p, cached per parameter pair (bounded, least
-    recently used first out): grids are immutable, and each holds ~1600
-    steps' interpolants."""
+    recently used first out): grids are read-only, ~0.23 MB from -60, so 32
+    hold ~7 MB (~28 MB as one scipy interpolant object per step)."""
     return AblowitzSegurSolution(p)
 
 

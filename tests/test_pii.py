@@ -1,11 +1,14 @@
 """ODE evaluation of v(x; alpha, k): launches, dense grids, oscillation fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.rk import Dop853DenseOutput  # oracle only
+from scipy.optimize import least_squares
 
 import painleve_mkdv.pii as pii
 from painleve_mkdv.asymptotics import (LAUNCH_DEPTHS, launch_depth, v_neg_asym,
@@ -120,6 +123,22 @@ def test_read_back_phase_at_small_d(k):
     c = connection_constants(make_params(0.0, k))
     assert abs(d_fit - c.d) < 1e-6 * c.d
     assert abs(math.remainder(phi_fit - c.phi, 2.0 * math.pi)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0.3, 0.99])
+def test_fit_stops_on_its_gradient_tolerance(k, monkeypatch):
+    # gtol lies above the optimality the fit reaches, so the fit stops there
+    # (status 1), not one evaluation later on xtol (status 3)
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(least_squares(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pii, "least_squares", recorded)
+    grid = solve_right_launch_homogeneous(k, 12.0, -60.0, 1e-11)
+    fit_oscillation(grid, (-60.0, -30.0), 0.0)
+    assert [r.status for r in results] == [1]
 
 
 def test_read_back_of_the_zero_grid():
@@ -276,6 +295,49 @@ def test_generated_step_solve_is_bit_identical(launch, monkeypatch):
     assert np.array_equal(grid.states, ref.states)
     assert np.array_equal(grid.evaluate(xs), ref.evaluate(xs))
     assert (grid.rejected_steps, grid.rhs_evals) == (ref.rejected_steps, ref.rhs_evals)
+
+
+@pytest.mark.parametrize("launch", list(_launches()), ids=["left", "right"])
+def test_dense_output_is_scipys_interpolant(launch):
+    # the stacked store evaluates bit for bit as scipy's own per-step
+    # interpolants built from the same arrays, ascending and descending
+    grid = launch()
+    ts = grid.abscissas
+    ref = OdeSolution(ts, [Dop853DenseOutput(*ts[i:i + 2].tolist(), grid.states[i], f)
+                           for i, f in enumerate(grid.coefficients)])
+    xs = np.linspace(grid.x_min, grid.x_max, 20001)
+    for pts in (xs, xs[::-1], ts):
+        assert np.array_equal(grid.evaluate(pts), ref(pts))
+    for x in (*xs[::1000], *ts[::100]):
+        assert grid.evaluate(x) == tuple(ref(x))
+
+
+def test_launch_holds_its_dense_output_compactly():
+    # one -60 -> 4 launch (1579 steps) with its evaluator built holds 0.22 MB
+    # as one stacked coefficient array, against 0.90 MB as one scipy
+    # interpolant object per step
+    p = make_params(0.25, 0.3)
+    solve_left_launch(p, -60.0, 4.0, pii.LAUNCH_TOL)  # fills the launch caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid = solve_left_launch(p, -60.0, 4.0, pii.LAUNCH_TOL)
+        grid.evaluate(0.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.3e6
+
+
+def test_cached_grid_is_read_only(sol_025_03):
+    # tuned_solution hands every caller the same grid: a write must raise,
+    # not move the next caller's profile
+    grid = sol_025_03.grid
+    with pytest.raises(ValueError):
+        grid.states[:, 0] = 0.0
+    for a in (grid.abscissas, grid.coefficients):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("launch", list(_launches()), ids=["left", "right"])
