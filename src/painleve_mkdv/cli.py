@@ -282,7 +282,8 @@ def emit_grid(opts: dict) -> str:
              f"seam_jump={sol.seam_jump:.3e}",
              "x,v,v_prime,v_neg_asym,v_pos_asym,residual_osc,residual_full"]
     columns = (xs, v, vp, osc, pos, np.abs(v - osc), r_full)
-    lines.extend(",".join("%.17g" % val for val in row) for row in zip(*columns))
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines.extend(row_format % row for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 

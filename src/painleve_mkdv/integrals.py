@@ -1,7 +1,9 @@
 """Principal-value total integral of v and its Fourier transform near xi = 0.
 
-A quadrature core on [-X, X] plus tails summed from the expansions the
-package carries: on the left every row of the launch expansion's table
+A quadrature core on [-X, X], 10 Gauss-Legendre nodes on panels of at most
+half a period whose edges include the evaluator's seams x_left and x_match
+(v jumps by ``seam_jump`` at x_match), plus tails summed from the expansions
+the package carries: on the left every row of the launch expansion's table
 (``asymptotics._oscillatory_rows``), oscillatory rows by parts and zero
 harmonics exactly; on the right the x^{-4} term of the decaying model.
 The alpha/x pieces cancel in the symmetric limit, and give a sine integral
@@ -45,25 +47,31 @@ def total_integral_formula(p: ASParams) -> float:
     return 0.5 * (math.log(c + p.k) - math.log(c - p.k))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# 10 nodes per panel: no panel spans a seam of the evaluator, so the
+# integrand is smooth on each, and a panel is at most half a period
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _panel_edges(x_lo: float, x_hi: float, xi: float) -> np.ndarray:
+def _panel_edges(x_lo: float, x_hi: float, xi: float, seams) -> np.ndarray:
     """Panel breakpoints resolving both the solution's oscillation (period
-    2 pi / sqrt(-x) on the left) and the transform kernel."""
+    2 pi / sqrt(-x) on the left) and the transform kernel; every seam inside
+    (x_lo, x_hi) is an edge."""
     cap_kernel = math.pi / (4.0 * abs(xi)) if xi != 0.0 else math.inf
     edges = [x_lo]
     x = x_lo
-    while x < x_hi:
-        local = 2.0 * math.pi / (2.0 * math.sqrt(-x)) if x < -1.0 else 1.0
-        x = min(x + min(local, 1.0, cap_kernel), x_hi)
-        edges.append(x)
+    for stop in sorted({s for s in seams if x_lo < s < x_hi} | {x_hi}):
+        while x < stop:
+            local = 2.0 * math.pi / (2.0 * math.sqrt(-x)) if x < -1.0 else 1.0
+            x = min(x + min(local, 1.0, cap_kernel), stop)
+            edges.append(x)
     return np.asarray(edges)
 
 
 def _core_quadrature(sol: AblowitzSegurSolution, x_lo: float, x_hi: float,
                      xi: float):
-    edges = _panel_edges(x_lo, x_hi, xi)
+    # the evaluator switches models at x_left and x_match; at x_match v jumps
+    # by seam_jump, which no panel may span
+    edges = _panel_edges(x_lo, x_hi, xi, (sol.x_left, sol.x_match))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()

@@ -133,6 +133,8 @@ class SolutionGrid:
         return float(max(self.abscissas[0], self.abscissas[-1]))
 
     def evaluate(self, x):
+        if self.coefficients is None:
+            raise GridRangeError("grid has no dense output (coefficients is None)")
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr < self.x_min - 1e-12) or np.any(x_arr > self.x_max + 1e-12):
             raise GridRangeError(

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import painleve_mkdv.asymptotics as asymptotics
@@ -100,6 +101,20 @@ def test_grid_deterministic_and_env_override(tmp_path, monkeypatch):
     assert rows[0].endswith(f" x_left={sol.x_left:.17g} "
                             f"launch_error={sol.launch_error:.3e} "
                             f"seam_jump={sol.seam_jump:.3e}")
+
+
+@pytest.mark.parametrize("alpha, k", [(0.25, 0.3), (0.0, 0.0)])
+def test_grid_rows_are_per_value_formats(alpha, k):
+    # each row is its values, each written as "%.17g" and joined by commas
+    p = make_params(alpha, k)
+    lines = cli.emit_grid({"params": p, "x_lo": -8.0, "x_hi": 6.0, "step": 0.05}).splitlines()
+    xs = -8.0 + 0.05 * np.arange(len(lines) - 2)
+    v, vp = tuned_solution(p).v(xs)
+    for line, x, v_x, vp_x in zip(lines[2:], xs, v, vp):
+        values = [float(f) for f in line.split(",")]
+        assert len(values) == 7
+        assert line == ",".join("%.17g" % val for val in values)
+        assert line.startswith(",".join("%.17g" % val for val in (x, v_x, vp_x)) + ",")
 
 
 def test_check_failure_exit_code(tmp_path):

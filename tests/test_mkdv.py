@@ -93,6 +93,45 @@ def test_pde_residual_second_order(sol_0_05):
     assert r1 / r2 == pytest.approx(4.0, abs=0.5)
 
 
+class _CountingProfile:
+    """A profile whose ``v`` counts its calls."""
+
+    def __init__(self, sol):
+        self.sol, self.x_match, self.calls = sol, sol.x_match, 0
+
+    def v(self, x):
+        self.calls += 1
+        return self.sol.v(x)
+
+
+def _seven_call_residual(field, window, h):
+    # the stencil one row per call, each through field.u
+    t = field.t
+    xs = np.arange(window[0], window[1] + 0.5 * h, h)
+    u_t = (field.u(xs, t + h) - field.u(xs, t - h)) / (2.0 * h)
+    um2 = field.u(xs - 2 * h)
+    um1 = field.u(xs - h)
+    u0 = field.u(xs)
+    up1 = field.u(xs + h)
+    up2 = field.u(xs + 2 * h)
+    u_x = (up1 - um1) / (2.0 * h)
+    u_xxx = (-0.5 * um2 + um1 - up1 + 0.5 * up2) / h ** 3
+    return float(np.max(np.abs(u_t + u_xxx - 1.5 * u0 ** 2 * u_x)))
+
+
+@pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3), (-0.3, -0.4)])
+def test_pde_residual_is_one_call_and_bit_identical(pair):
+    # the seven stencil rows go through one profile call, and each point is
+    # evaluated as field.u evaluates it
+    sol = tuned_solution(make_params(*pair))
+    for t, h in ((1.0, 0.05), (1.0, 0.025), (0.3, 0.01)):
+        counting = _CountingProfile(sol)
+        field = SelfSimilarField(sol.params, t, solution=counting)
+        got = pde_residual_fd(field, (-3.0, 3.0), h)
+        assert counting.calls == 1
+        assert got == _seven_call_residual(field, (-3.0, 3.0), h)
+
+
 def test_pde_residual_closure(sol_0_05):
     field = SelfSimilarField(sol_0_05.params, 1.0, solution=sol_0_05)
     assert pde_residual_closure(field, (-3.0, 3.0)) < 1e-9

@@ -163,6 +163,15 @@ def test_fit_oscillation_round_trip():
     assert abs(phi_fit - 1.0) < 1e-10
 
 
+def test_grid_without_dense_output_raises_typed_error():
+    # a grid of states alone has no interpolant; evaluating it must say so
+    grid = _model_grid(0.3, 1.0, 0.0)
+    with pytest.raises(GridRangeError, match="dense output"):
+        grid.evaluate(-30.0)
+    with pytest.raises(GridRangeError, match="dense output"):
+        grid.evaluate(np.linspace(-50.0, -30.0, 5))
+
+
 def test_fit_oscillation_window_validation():
     grid = _model_grid(0.3, 1.0, 0.0)
     with pytest.raises(DomainError):
