@@ -1,5 +1,5 @@
 """Asymptotic models for v(x; alpha, k) on both ends of the real line, with
-analytic derivatives, plus a log-log slope fit for observed decay orders.
+analytic derivatives.
 
 The oscillatory model lives on s = -x > 0:
 
@@ -34,7 +34,6 @@ __all__ = [
     "v_neg_launch",
     "launch_depth",
     "v_pos_asym",
-    "loglog_slope",
 ]
 
 
@@ -247,20 +246,3 @@ def v_pos_asym(x, alpha: float):
         return float(v), float(v_prime)
     return v, v_prime
 
-
-def loglog_slope(points) -> float:
-    """Least-squares slope of ln(value) against ln(abscissa).
-
-    Expects >= 5 points with positive abscissas and values; raises
-    ``DomainError`` on degenerate input (coincident abscissas).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
-        raise DomainError("loglog_slope needs at least 5 (abscissa, value) pairs")
-    if np.any(pts <= 0.0):
-        raise DomainError("loglog_slope needs positive abscissas and values")
-    log_s = np.log(pts[:, 0])
-    if np.ptp(log_s) == 0.0:
-        raise DomainError("coincident abscissas")
-    slope, _ = np.polyfit(log_s, np.log(pts[:, 1]), 1)
-    return float(slope)

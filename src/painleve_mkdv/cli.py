@@ -22,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .asymptotics import (LAUNCH_TOL, _omitted_orders, loglog_slope,
-                          v_neg_asym, v_neg_launch, v_pos_asym)
+from .asymptotics import (LAUNCH_TOL, _omitted_orders, v_neg_asym,
+                          v_neg_launch, v_pos_asym)
 from .errors import ConfigError, PainleveError
 from .integrals import pv_total_integral, total_integral_formula, v_hat
 from .mkdv import (InitialDataCoefficients, SelfSimilarField, ab_to_params,
                    pde_residual_closure, pde_residual_fd, u_hat)
 from .pii import solve_right_launch_homogeneous, fit_oscillation, tuned_solution
-from .rh_verify import (ContourCircle, parametrix_decay, residue_check_origin,
-                        stationary_identity)
+from .rh_verify import (ContourCircle, loglog_slope, parametrix_decay,
+                        residue_check_origin, stationary_identity)
 from .specfun import airy_ai, log_gamma, pcf_d
 from .stokes import make_params, rh_constants, stokes_triple
 
@@ -143,7 +143,8 @@ def _suite_specfun(opts) -> Iterator[tuple]:
     # D_{nu+1} - z D_nu + nu D_{nu-1} = 0 and D_nu' + (z/2) D_nu - nu D_{nu-1} = 0
     worst = 0.0
     for nu in (-0.5j, 0.3, 1.0 + 0.2j):
-        for zz in (1.0 + 1.0j, -2.0 + 0.5j, 3.0 - 2.0j, -2.5, 3.0j, -1.0 - 2.0j):
+        for zz in (1.0 + 1.0j, -2.0 + 0.5j, 3.0 - 2.0j, -2.5, 3.0j, -1.0 - 2.0j,
+                   4.0 + 3.5j):
             v_hi, _ = pcf_d(nu + 1.0, zz)
             v_mid, d_mid = pcf_d(nu, zz)
             v_lo, _ = pcf_d(nu - 1.0, zz)

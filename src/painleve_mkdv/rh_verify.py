@@ -2,7 +2,7 @@
 phase maps, the diagonal matrix N(z), the power factor beta(z), the origin
 residue identity, the stationary-point contour identity reproducing the
 oscillatory tail, and the parabolic-cylinder local parametrices with their
-first-order predictions.
+first-order predictions and the log-log fit of their observed decay order.
 
 Conventions fixed here and used throughout:
 
@@ -45,6 +45,7 @@ __all__ = [
     "t_left_parametrix",
     "m_pred",
     "parametrix_decay",
+    "loglog_slope",
 ]
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -130,24 +131,30 @@ def beta_fn(z, t: float, nu: complex):
 _CIRCLE_NODES, _CIRCLE_MAX_NODES, _CIRCLE_TOL = 256, 16384, 1e-10
 
 
+def _circle_sum(f, circle: ContourCircle, theta: np.ndarray, n: int) -> complex:
+    # the n-node trapezoid rule's terms at the angles theta
+    pos = np.exp(-1j * theta)
+    zs = circle.center + circle.radius * pos
+    dz = -1j * circle.radius * pos * (2.0 * math.pi / n)
+    return complex(np.sum(f(zs) * dz))
+
+
 def _circle_integral(f, circle: ContourCircle) -> complex:
     """Spectral trapezoid quadrature of a clockwise contour integral over the
     circle, node-doubling from _CIRCLE_NODES until two successive
-    refinements agree to _CIRCLE_TOL (relative above 1)."""
+    refinements agree to _CIRCLE_TOL (relative above 1).  The rules are
+    nested: each doubling evaluates f only at the new midpoints and adds
+    them to half the previous sum."""
     n = _CIRCLE_NODES
-    prev = None
-    while n <= _CIRCLE_MAX_NODES:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        pos = np.exp(-1j * theta)
-        zs = circle.center + circle.radius * pos
-        dz = -1j * circle.radius * pos * (2.0 * math.pi / n)
-        total = complex(np.sum(f(zs) * dz))
-        if prev is not None and abs(total - prev) < _CIRCLE_TOL * max(1.0, abs(total)):
-            return total
-        prev = total
+    total = _circle_sum(f, circle, 2.0 * math.pi * np.arange(n) / n, n)
+    while n < _CIRCLE_MAX_NODES:
+        mids = 2.0 * math.pi * (np.arange(n) + 0.5) / n
         n *= 2
+        prev, total = total, 0.5 * total + _circle_sum(f, circle, mids, n)
+        if abs(total - prev) < _CIRCLE_TOL * max(1.0, abs(total)):
+            return total
     raise QuadratureError("circle quadrature did not converge "
-                          f"(last delta at {n//2} nodes)")
+                          f"(last delta at {n} nodes)")
 
 
 def residue_check_origin(circle: ContourCircle, nu: complex) -> complex:
@@ -309,12 +316,9 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     f21 = -(rc.h1 / s3) / osc * beta ** -2 / zeta
     g11 = nu * (nu + 1.0) / (2.0 * zeta ** 2)
     g22 = -nu * (nu - 1.0) / (2.0 * zeta ** 2)
-    out = np.eye(2, dtype=complex)
-    out[0, 1] = f12 / math.sqrt(t)
-    out[1, 0] = f21 / math.sqrt(t)
-    out[0, 0] += g11 / t
-    out[1, 1] += g22 / t
-    return out
+    rt = math.sqrt(t)
+    return np.array([[1.0 + g11 / t, f12 / rt], [f21 / rt, 1.0 + g22 / t]],
+                    dtype=complex)
 
 
 def parametrix_decay(p: ASParams) -> list[tuple[float, float]]:
@@ -336,3 +340,21 @@ def parametrix_decay(p: ASParams) -> list[tuple[float, float]]:
             - m_pred(p, t, z, "right")) for z in zs)
         pts.append((float(t), float(nrm)))
     return pts
+
+
+def loglog_slope(points) -> float:
+    """Least-squares slope of ln(value) against ln(abscissa).
+
+    Expects >= 5 points with positive abscissas and values; raises
+    ``DomainError`` on degenerate input (coincident abscissas).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
+        raise DomainError("loglog_slope needs at least 5 (abscissa, value) pairs")
+    if np.any(pts <= 0.0):
+        raise DomainError("loglog_slope needs positive abscissas and values")
+    log_s = np.log(pts[:, 0])
+    if np.ptp(log_s) == 0.0:
+        raise DomainError("coincident abscissas")
+    slope, _ = np.polyfit(log_s, np.log(pts[:, 1]), 1)
+    return float(slope)

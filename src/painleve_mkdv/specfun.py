@@ -15,17 +15,19 @@ Numerical layout:
   exactly zero at the poles.
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  It uses the
   even/odd Kummer series below |z| = 7.6 and the large-z expansion (plus the
-  reflection connection into the left sectors) beyond.  Once the argument
-  oscillates hard the series sums in exact integer fixed point at 2^-120;
-  each term there is divided as (x >> 239) // m with the small integer
-  m = 2(c+k)(k+1), which equals x // (m << 239) bit for bit.  The series
-  prefactors are only double precision, so near the real axis, where D_nu is
-  recessive and the even/odd split cancels by e^{Re z^2/2}, the mid range is
-  instead bridged by Taylor transport of the Weber ODE
-  u'' = (z^2/4 - nu - 1/2) u from the asymptotic ring inward; with D
-  recessive at the seed that direction cannot amplify the seed error.  Each
-  Taylor step of h = 1 sums at most 48 coefficients and stops early once
-  three terms in a row fall below 1e-18 of the value (8 terms at least).
+  reflection connection into the left sectors) beyond.  Two regions below
+  the ring are bridged by Taylor transport of the Weber ODE
+  u'' = (z^2/4 - nu - 1/2) u along the ray instead:
+  - near the real axis, where D_nu is recessive and the even/odd split
+    cancels by e^{Re z^2/2}, inward from the asymptotic ring; with D
+    recessive at the seed that direction cannot amplify the seed error;
+  - in the band |Im z^2| > 18, Re z^2 <= 6, where the series terms cancel by
+    e^{|Im z^2|/2}, outward from (D_nu(0), D_nu'(0)) in closed form; there
+    both solutions start O(1), and D, dominant where Re z^2 < 0, is never
+    recessive by more than |e^{-z^2/4}| >= e^{-1.5}.
+  Each Taylor step of |h| <= 1 sums at most 48 coefficients and stops early
+  once three terms in a row fall below 1e-18 of the value (8 terms at
+  least).
 * The last two Kummer sums are cached.  By Kummer's transformation
   M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and D_nu(+-w) share
   their two sums, so the second column of the parametrix matrix Z reuses
@@ -82,9 +84,6 @@ def log_gamma(z: complex) -> complex:
 _PCF_ASYM_RADIUS = 7.6
 _PCF_CONNECT_ARG = 0.5 * math.pi
 _PCF_MAX_ABS = 50.0
-_FIX_BITS = 120
-_FIX_ONE = 1 << _FIX_BITS
-_DIV_SHIFT = 2 * _FIX_BITS - 1
 _MARCH_TERMS = 48
 
 
@@ -109,11 +108,9 @@ def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
 # when nu is purely imaginary, so the last pcf_d call's pair is kept.
 @lru_cache(maxsize=2)
 def _kummer_sum(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
-    """M(a, c, w) and dM/dw for Re w >= 0.  A large imaginary part still
-    oscillates (cancellation ~ e^{|Im w|}); the sum then runs in exact
-    integer fixed point at 2^-120."""
-    if abs(w.imag) > 9.0:
-        return _kummer_fixed(a, c, w)
+    """M(a, c, w) and dM/dw for Re w >= 0 and |Im w| <= 9.  A larger
+    imaginary part oscillates (cancellation ~ e^{|Im w|}); ``pcf_d`` then
+    transports from z = 0 instead of summing."""
     term = 1.0 + 0.0j
     total = term
     weighted = 0.0 + 0.0j  # sum of k * term_k
@@ -126,57 +123,20 @@ def _kummer_sum(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
     return total, weighted / w
 
 
-def _kummer_fixed(a: complex, c: float, w: complex) -> tuple[complex, complex]:
-    # Same sum in exact integer fixed point: w, a and the terms are integers
-    # at 2^-120 (scaling a float by a power of two and taking int() is
-    # exact).  c is 1/2 or 3/2, the only values _pcf_series passes, so
-    # den = 2(c+k)(k+1) is an integer and each term is one complex integer
-    # product, a shift and a floor division by den; floor(floor(x/a)/b) =
-    # floor(x/(ab)) for positive integers a, b, so shifting first changes no
-    # bit of the quotient.  Each division is off by < 2^-120; grown by at
-    # most the largest term (< 2^42 for |z| < 7.6), 600 terms stay < 2^-68,
-    # far below the e^{|Im w|} cancellation the double sum would suffer.
-    # The weighted sum comes from the partial sums T_j, exactly:
-    # sum_{j<=n} j t_j = n T_n - sum_{j<n} T_j.
-    wr, wi = int(w.real * _FIX_ONE), int(w.imag * _FIX_ONE)
-    ar, ai = int(a.real * _FIX_ONE), int(a.imag * _FIX_ONE)
-    ur, ui = wr * ar - wi * ai, wr * ai + wi * ar  # w (a + k) at 2^-240
-    wsr, wsi = wr << _FIX_BITS, wi << _FIX_BITS    # w at 2^-240
-    c2 = int(2.0 * c)
-    tr, ti = _FIX_ONE, 0
-    total_r, total_i = tr, ti
-    run_r = run_i = 0  # sum of the partial sums before the newest term
-    scale = _FIX_ONE
-    for k in range(0, 600):
-        # term * w (a + k) / ((c + k)(k + 1)): x at 2^-360, x // (den << 239)
-        run_r += total_r
-        run_i += total_i
-        den = (c2 + 2 * k) * (k + 1)
-        tr, ti = (((tr * ur - ti * ui) >> _DIV_SHIFT) // den,
-                  ((tr * ui + ti * ur) >> _DIV_SHIFT) // den)
-        total_r += tr
-        total_i += ti
-        mag = abs(tr) + abs(ti)
-        if mag > scale:
-            scale = mag
-        elif mag < scale >> 113 and k > 3:  # below 2^-113 of the largest term
-            break
-        ur += wsr
-        ui += wsi
-    n = k + 1
-    m = complex(total_r / _FIX_ONE, total_i / _FIX_ONE)
-    dm = complex((n * total_r - run_r) / _FIX_ONE,
-                 (n * total_i - run_i) / _FIX_ONE) / w
-    return m, dm
+def _pcf_at_zero(nu: complex) -> tuple[complex, complex]:
+    # D_nu(0) = 2^{nu/2} sqrt(pi) / Gamma((1 - nu)/2) and
+    # D_nu'(0) = -2^{(nu+1)/2} sqrt(pi) / Gamma(-nu/2): the even and odd
+    # prefactors of the series
+    pre = cmath.exp(0.5 * nu * math.log(2.0))
+    return (_SQRT_PI * pre * complex(rgamma(0.5 * (1.0 - nu))),
+            -math.sqrt(2.0 * math.pi) * pre * complex(rgamma(-0.5 * nu)))
 
 
 def _pcf_series(nu: complex, z: complex) -> tuple[complex, complex]:
     w = 0.5 * z * z
     s1, ds1 = _kummer(-0.5 * nu, 0.5, w)
     s2, ds2 = _kummer(0.5 * (1.0 - nu), 1.5, w)
-    pre = cmath.exp(0.5 * nu * math.log(2.0))
-    a_coef = _SQRT_PI * pre * complex(rgamma(0.5 * (1.0 - nu)))
-    b_coef = -math.sqrt(2.0 * math.pi) * pre * complex(rgamma(-0.5 * nu))
+    a_coef, b_coef = _pcf_at_zero(nu)
     env = cmath.exp(-0.5 * w)
     even = a_coef * s1
     odd = b_coef * z * s2
@@ -241,39 +201,49 @@ def _pcf_far(nu: complex, z: complex) -> tuple[complex, complex]:
     return _pcf_connect(nu, z, _pcf_asym)
 
 
-def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
-    """Taylor transport of u'' = (z^2/4 - nu - 1/2) u inward along the ray."""
-    z0 = z * (_PCF_ASYM_RADIUS / abs(z))
-    u, up = _pcf_far(nu, z0)
-    n_steps = max(1, math.ceil(abs(z - z0)))  # steps of |h| <= 1
+def _transport(nu: complex, z0: complex, u: complex, up: complex,
+               z: complex) -> tuple[complex, complex]:
+    """Carry (u, u') of a solution of the Weber ODE u'' = (z^2/4 - nu - 1/2) u
+    from z0 to z along the segment, in Taylor steps of |h| <= 1."""
+    n_steps = max(1, math.ceil(abs(z - z0)))
     h = (z - z0) / n_steps
     q = nu + 0.5
+    h2 = h * h
+    h4 = 0.25 * h2 * h2
     for i in range(n_steps):
         c = z0 + i * h
-        p0 = 0.25 * c * c - q
-        p1 = 0.5 * c
-        # a_{m+2} = (p0 a_m + p1 a_{m-1} + 0.25 a_{m-2}) / ((m+2)(m+1)), at
-        # most _MARCH_TERMS coefficients.  The value sum a_m h^m and the
-        # derivative sum m a_m h^{m-1} accumulate as the coefficients come;
-        # the step stops once three terms in a row fall below 1e-18 of the
-        # value, after at least 8 terms.
-        am2, am1, am, ap1 = 0j, 0j, u, up  # a_{m-2}, a_{m-1}, a_m, a_{m+1}
-        val = u + up * h
-        der = up
-        hp = h  # h^{m+1}
+        p0 = (0.25 * c * c - q) * h2
+        p1 = 0.5 * c * h2 * h
+        # The Taylor coefficients about c obey (m+2)(m+1) a_{m+2} =
+        # (c^2/4 - q) a_m + (c/2) a_{m-1} + a_{m-2}/4; the step carries
+        # b_m = a_m h^m, at most _MARCH_TERMS of them.  The value is sum b_m
+        # and h u' is sum m b_m; the step stops once three terms in a row
+        # fall below 1e-18 of the value, after at least 8 terms.
+        bm2, bm1, bm, bp1 = 0j, 0j, u, up * h  # b_{m-2}, b_{m-1}, b_m, b_{m+1}
+        val = u + bp1
+        der = bp1
         small = 0
         for m in range(0, _MARCH_TERMS - 2):
-            a_new = (p0 * am + p1 * am1 + 0.25 * am2) / ((m + 2.0) * (m + 1.0))
-            der += (m + 2.0) * a_new * hp
-            hp *= h
-            term = a_new * hp
-            val += term
-            small = small + 1 if abs(term) < 1e-18 * abs(val) else 0
+            b_new = (p0 * bm + p1 * bm1 + h4 * bm2) / ((m + 2.0) * (m + 1.0))
+            val += b_new
+            der += (m + 2.0) * b_new
+            small = small + 1 if abs(b_new) < 1e-18 * abs(val) else 0
             if small >= 3 and m >= 5:
                 break
-            am2, am1, am, ap1 = am1, am, ap1, a_new
-        u, up = val, der
+            bm2, bm1, bm, bp1 = bm1, bm, bp1, b_new
+        u, up = val, der / h
     return u, up
+
+
+def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
+    """Transport inward along the ray from the asymptotic ring."""
+    z0 = z * (_PCF_ASYM_RADIUS / abs(z))
+    return _transport(nu, z0, *_pcf_far(nu, z0), z)
+
+
+def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
+    """Transport outward along the ray from z = 0."""
+    return _transport(nu, 0j, *_pcf_at_zero(nu), z)
 
 
 def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
@@ -302,10 +272,15 @@ def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
     # prefactor cancellation wherever D is recessive (right near-real wedge),
     # where inward ODE transport from the ring is stable instead.  The left
     # near-real wedge (D dominant, transport unstable) reflects into the
-    # right wedge and the near-imaginary wedge.  Elsewhere the
-    # (fixed-point) series is accurate.
-    if (z * z).real > 6.0:
+    # right wedge and the near-imaginary wedge.  Where z^2 is far off the
+    # real axis the series terms cancel by e^{|Im z^2|/2}; there transport
+    # outward from z = 0 is stable (see the module notes).  Elsewhere the
+    # series is accurate.
+    z2 = z * z
+    if z2.real > 6.0:
         if z.real >= 0.0:
             return _pcf_march(nu, z)
         return _pcf_connect(nu, z, _pcf_core)
+    if abs(z2.imag) > 18.0:
+        return _pcf_origin(nu, z)
     return _pcf_series(nu, z)

@@ -1,4 +1,5 @@
-"""Asymptotic models of v on both ends and the log-log slope fitter."""
+"""Asymptotic models of v on both ends, and the log-log slope fitter
+(``rh_verify.loglog_slope``) that measures their residual orders."""
 
 import math
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painleve_mkdv.asymptotics import (_oscillatory_rows, loglog_slope,
-                                       psi_tilde, v_neg_asym, v_neg_launch,
-                                       v_pos_asym)
+from painleve_mkdv.asymptotics import (_oscillatory_rows, psi_tilde,
+                                       v_neg_asym, v_neg_launch, v_pos_asym)
 from painleve_mkdv.errors import DomainError
+from painleve_mkdv.rh_verify import loglog_slope
 from painleve_mkdv.stokes import ConnectionConstants, connection_constants, \
     make_params
 

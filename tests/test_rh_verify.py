@@ -11,11 +11,11 @@ import pytest
 
 import painleve_mkdv.rh_verify as rv
 import painleve_mkdv.specfun as sf
-from painleve_mkdv.asymptotics import loglog_slope
 from painleve_mkdv.errors import (BranchCutError, DegenerateParamsError,
                                   DomainError, SectorBoundaryError)
-from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn, m_pred,
-                                     n_matrix, parametrix_decay, phase_maps,
+from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn,
+                                     loglog_slope, m_pred, n_matrix,
+                                     parametrix_decay, phase_maps,
                                      residue_check_origin,
                                      stationary_identity, t_left_parametrix,
                                      t_right_parametrix, z_parametrix)
@@ -175,6 +175,22 @@ def test_residue_origin(pair):
 def test_residue_nu_zero():
     val = residue_check_origin(ContourCircle(0.0, 0.1), 0.0)
     assert abs(val + 2j * math.pi) < 1e-12
+
+
+def test_circle_quadrature_evaluates_each_node_once():
+    # the doubled rules are nested: 1/z converges at the second rule, and the
+    # integrand sees that rule's 512 nodes once each, not 256 + 512
+    seen = []
+
+    def f(zs):
+        seen.append(zs)
+        return 1.0 / zs
+
+    val = rv._circle_integral(f, ContourCircle(0.0, 0.1))
+    assert abs(val + 2j * math.pi) < 1e-12
+    nodes = np.concatenate(seen)
+    assert len(nodes) == 512
+    assert len(np.unique(np.round(nodes, 12))) == 512
 
 
 # stationary identity ---------------------------------------------------------
