@@ -264,6 +264,24 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
     return np.array([[z00, z01], [z10, z11]], dtype=complex)
 
 
+# t_right_parametrix and m_pred are called in turn at the same (p, t, z) by
+# every sweep (parametrix_decay, and the left side through -z), so the last
+# point's shared terms are kept: (key, (rh_constants, s3, phase_maps, beta)),
+# read and replaced as one tuple, so a key never meets another point's terms.
+_last_point: tuple = (None, None)
+
+
+def _point_terms(p: ASParams, t: float, z: complex) -> tuple:
+    global _last_point
+    key = (p, t, z)
+    seen, terms = _last_point
+    if seen != key:
+        rc = rh_constants(p)
+        terms = (rc, stokes_triple(p).s3, phase_maps(z), beta_fn(z, t, rc.nu))
+        _last_point = (key, terms)
+    return terms
+
+
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
     """Local parametrix about z = +1/2 on the annulus 0.05 <= |z-1/2| <= 0.2:
     T = l^{sigma3} P(w) Z(w) r^{sigma3} with P(w) = [[w, 1], [1, 0]],
@@ -275,13 +293,11 @@ def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
         raise DomainError("t must be positive")
     if p.degenerate:
         raise DegenerateParamsError("parametrix prefactor -h1/s3 undefined at (0,0)")
-    rc = rh_constants(p)
-    s3 = stokes_triple(p).s3
+    rc, s3, (theta, _, zeta), beta = _point_terms(p, t, z)
     nu = rc.nu
-    theta, _, zeta = phase_maps(z)
     w = math.sqrt(t) * zeta
     a_fac = cmath.sqrt(-rc.h1 / s3)
-    left = beta_fn(z, t, nu) / a_fac * cmath.exp(1j * t / 3.0) * _SQRT_HALF
+    left = beta / a_fac * cmath.exp(1j * t / 3.0) * _SQRT_HALF
     right = cmath.exp(t * theta) * a_fac
     z00, z01, z10, z11 = _z_entries(nu, w)
     return np.array([[left * (w * z00 + z10) * right, left * (w * z01 + z11) / right],
@@ -304,13 +320,10 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
         return SIGMA2 @ m_pred(p, t, -z, "right") @ SIGMA2
     if not t > 0.0:
         raise DomainError("t must be positive")
-    rc = rh_constants(p)
-    nu = rc.nu
-    if nu == 0:
+    if rh_constants(p).nu == 0:
         return np.eye(2, dtype=complex)
-    s3 = stokes_triple(p).s3
-    zeta = phase_maps(z)[2]
-    beta = beta_fn(z, t, nu)
+    rc, s3, (_, _, zeta), beta = _point_terms(p, t, z)
+    nu = rc.nu
     osc = cmath.exp(2j * t / 3.0)
     f12 = -(nu * s3 / rc.h1) * osc * beta ** 2 / zeta
     f21 = -(rc.h1 / s3) / osc * beta ** -2 / zeta

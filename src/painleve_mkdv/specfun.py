@@ -25,13 +25,18 @@ Numerical layout:
     e^{|Im z^2|/2}, outward from (D_nu(0), D_nu'(0)) in closed form; there
     both solutions start O(1), and D, dominant where Re z^2 < 0, is never
     recessive by more than |e^{-z^2/4}| >= e^{-1.5}.
-  Each Taylor step of |h| <= 1 sums at most 48 coefficients and stops early
-  once three terms in a row fall below 1e-18 of the value (8 terms at
-  least).
+  The inward march takes Taylor steps of |h| <= 2, since D grows in that
+  direction and a longer step adds terms but no cancellation; the outward
+  band transport keeps |h| <= 1, where the local behaviour oscillates.  Each
+  step sums at most 64 coefficients and stops early once three terms in a
+  row fall below 1e-18 of the value (8 terms at least); no step on |nu| <= 2
+  was seen to need more than 59.
 * The last two Kummer sums are cached.  By Kummer's transformation
   M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and D_nu(+-w) share
   their two sums, so the second column of the parametrix matrix Z reuses
-  the first column's whenever both take the series path.
+  the first column's whenever both take the series path.  The seeds
+  (D_nu(0), D_nu'(0)) of the last two orders are cached too: a parametrix
+  sweep alternates nu and -nu-1.
 """
 
 from __future__ import annotations
@@ -84,7 +89,10 @@ def log_gamma(z: complex) -> complex:
 _PCF_ASYM_RADIUS = 7.6
 _PCF_CONNECT_ARG = 0.5 * math.pi
 _PCF_MAX_ABS = 50.0
-_MARCH_TERMS = 48
+_MARCH_TERMS = 64
+# Taylor step lengths of the inward march and the outward band transport
+_MARCH_STEP = 2.0
+_BAND_STEP = 1.0
 
 
 def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
@@ -123,6 +131,7 @@ def _kummer_sum(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
     return total, weighted / w
 
 
+@lru_cache(maxsize=2)  # the orders nu and -nu-1 of a parametrix sweep
 def _pcf_at_zero(nu: complex) -> tuple[complex, complex]:
     # D_nu(0) = 2^{nu/2} sqrt(pi) / Gamma((1 - nu)/2) and
     # D_nu'(0) = -2^{(nu+1)/2} sqrt(pi) / Gamma(-nu/2): the even and odd
@@ -201,15 +210,24 @@ def _pcf_far(nu: complex, z: complex) -> tuple[complex, complex]:
     return _pcf_connect(nu, z, _pcf_asym)
 
 
+@lru_cache(maxsize=1)
+def _term_table(n_terms: int) -> tuple[tuple[float, float], ...]:
+    # per Taylor term m: 1/((m+2)(m+1)) and m+2, for a cap of n_terms
+    return tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
+                 for m in range(n_terms - 2))
+
+
 def _transport(nu: complex, z0: complex, u: complex, up: complex,
-               z: complex) -> tuple[complex, complex]:
+               z: complex, max_step: float) -> tuple[complex, complex]:
     """Carry (u, u') of a solution of the Weber ODE u'' = (z^2/4 - nu - 1/2) u
-    from z0 to z along the segment, in Taylor steps of |h| <= 1."""
-    n_steps = max(1, math.ceil(abs(z - z0)))
+    from z0 to z along the segment, in equal Taylor steps of |h| <= max_step
+    (``_MARCH_STEP`` inward from the ring, ``_BAND_STEP`` outward from 0)."""
+    n_steps = max(1, math.ceil(abs(z - z0) / max_step))
     h = (z - z0) / n_steps
     q = nu + 0.5
     h2 = h * h
     h4 = 0.25 * h2 * h2
+    table = _term_table(_MARCH_TERMS)
     for i in range(n_steps):
         c = z0 + i * h
         p0 = (0.25 * c * c - q) * h2
@@ -223,10 +241,10 @@ def _transport(nu: complex, z0: complex, u: complex, up: complex,
         val = u + bp1
         der = bp1
         small = 0
-        for m in range(0, _MARCH_TERMS - 2):
-            b_new = (p0 * bm + p1 * bm1 + h4 * bm2) / ((m + 2.0) * (m + 1.0))
+        for m, (inv, mp2) in enumerate(table):
+            b_new = (p0 * bm + p1 * bm1 + h4 * bm2) * inv
             val += b_new
-            der += (m + 2.0) * b_new
+            der += mp2 * b_new
             small = small + 1 if abs(b_new) < 1e-18 * abs(val) else 0
             if small >= 3 and m >= 5:
                 break
@@ -238,12 +256,12 @@ def _transport(nu: complex, z0: complex, u: complex, up: complex,
 def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
     """Transport inward along the ray from the asymptotic ring."""
     z0 = z * (_PCF_ASYM_RADIUS / abs(z))
-    return _transport(nu, z0, *_pcf_far(nu, z0), z)
+    return _transport(nu, z0, *_pcf_far(nu, z0), z, _MARCH_STEP)
 
 
 def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
     """Transport outward along the ray from z = 0."""
-    return _transport(nu, 0j, *_pcf_at_zero(nu), z)
+    return _transport(nu, 0j, *_pcf_at_zero(nu), z, _BAND_STEP)
 
 
 def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:

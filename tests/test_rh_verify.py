@@ -299,7 +299,8 @@ def test_z_matches_mpmath_reference(nu):
 
 
 def test_rh_constants_cache_is_bounded():
-    # both parametrices and m_pred read the constants at every point
+    # both parametrices and m_pred read the constants at every new point of
+    # a sweep, through the one-point memo
     rh_constants(P05)
     info = rh_constants.cache_info()
     assert info.maxsize == 32
@@ -318,6 +319,22 @@ def test_z_parametrix_columns_share_kummer_sums(monkeypatch):
     cached = z_parametrix(nu, w)
     assert sf._kummer_sum.cache_info().hits == 2
     monkeypatch.setattr(sf, "_kummer_sum", sf._kummer_sum.__wrapped__)
+    assert np.array_equal(z_parametrix(nu, w), cached)
+
+
+def test_z_parametrix_band_seeds_are_cached(monkeypatch):
+    # at |Re w^2| <= 6, |Im w^2| > 18 both columns of Z transport outward from
+    # z = 0, seeded at the orders -nu-1 and nu: a repeated point finds both
+    # seeds in the cache
+    assert sf._pcf_at_zero.cache_info().maxsize == 2
+    nu = -0.5j
+    w = 4.5 * cmath.exp(1j * (0.25 * math.pi + 0.05))
+    assert abs((w * w).real) <= 6.0 and abs((w * w).imag) > 18.0
+    sf._pcf_at_zero.cache_clear()
+    cached = z_parametrix(nu, w)
+    assert np.array_equal(z_parametrix(nu, w), cached)
+    assert sf._pcf_at_zero.cache_info().hits == 2
+    monkeypatch.setattr(sf, "_pcf_at_zero", sf._pcf_at_zero.__wrapped__)
     assert np.array_equal(z_parametrix(nu, w), cached)
 
 
@@ -417,6 +434,46 @@ def test_m_pred_left_right_mirror():
     left = m_pred(P253, t, z, "left")
     right = m_pred(P253, t, -z, "right")
     assert np.array_equal(left, SIGMA2 @ right @ SIGMA2)
+
+
+def test_sweep_point_terms_formed_once(monkeypatch):
+    # t_right_parametrix and then m_pred at one (p, t, z) form phase_maps and
+    # beta_fn once between them, on either side
+    calls = {"phase_maps": 0, "beta_fn": 0}
+
+    def counted(name):
+        f = getattr(rv, name)
+
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    for name in calls:
+        monkeypatch.setattr(rv, name, counted(name))
+    monkeypatch.setattr(rv, "_last_point", (None, None))
+    z = 0.5 + 0.15 * cmath.exp(0.7j)
+    t_right_parametrix(P253, 40.0, z)
+    m_pred(P253, 40.0, z, "right")
+    assert calls == {"phase_maps": 1, "beta_fn": 1}
+    t_left_parametrix(P253, 60.0, -z)
+    m_pred(P253, 60.0, -z, "left")
+    assert calls == {"phase_maps": 2, "beta_fn": 2}
+
+
+def test_sweep_point_memo_is_bit_identical(monkeypatch):
+    # interleaved calls at two pairs sharing (t, z), on both sides, against
+    # the same calls each made with the memo emptied first
+    t, z = 40.0, 0.5 + 0.15 * cmath.exp(0.7j)
+    seq = [(t_right_parametrix, (P05, t, z)), (m_pred, (P05, t, z, "right")),
+           (t_right_parametrix, (P253, t, z)), (m_pred, (P05, t, z, "right")),
+           (m_pred, (P253, t, z, "right")), (t_left_parametrix, (P253, t, -z)),
+           (m_pred, (P253, t, -z, "left")), (t_right_parametrix, (P05, t, z)),
+           (t_left_parametrix, (P05, t, -z)), (m_pred, (P253, t, z, "right"))]
+    memo = [f(*args) for f, args in seq]
+    for (f, args), got in zip(seq, memo):
+        monkeypatch.setattr(rv, "_last_point", (None, None))
+        assert np.array_equal(f(*args), got)
 
 
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])

@@ -213,6 +213,8 @@ def test_pcf_range_guard():
 # the even/odd series cancel there, and D_nu comes from Taylor transport of
 # the Weber ODE outward from z = 0.
 BAND_ORDERS = [-0.0458j, -1 + 0.0458j, -0.5j, -1 + 0.5j, 0.3 + 0.2j]
+# |nu| = 2 orders, where D_nu is smallest next to its even and odd parts
+ORDERS_TWO = [-1 + 2j, -2j, 2.0, -2.0, -1 - 2j, 1.5j]
 
 
 def _seeded_points(seed, count, keep):
@@ -230,47 +232,44 @@ def _band_points(seed, count):
                           lambda z, z2: abs(z2.imag) > 18.0 and z2.real <= 6.0)
 
 
-def test_pcf_cancellation_band_matches_oracle():
+def _wedge_points(seed, count):
+    return _seeded_points(seed, count, lambda z, z2: z2.real > 6.0 and z.real >= 0.0)
+
+
+def _assert_matches_oracle(orders, pts, rel):
+    # D and D' relative to mpmath, the orders taken in turn over the points;
     # D_nu' = (z/2) D_nu - D_{nu+1}
     with mp.workdps(30):
-        for j, z in enumerate(_band_points(8, 40)):
-            nu = BAND_ORDERS[j % len(BAND_ORDERS)]
-            val, der = pcf_d(nu, z)
-            ref = mp.pcfd(nu, z)
-            refd = complex(0.5 * z * ref - mp.pcfd(nu + 1, z))
-            ref = complex(ref)
-            assert abs(val - ref) <= 1e-10 * abs(ref)
-            assert abs(der - refd) <= 1e-10 * abs(refd)
-
-
-def test_pcf_band_transport_matches_oracle():
-    # |nu| = 2 orders, where D_nu is smallest next to its even and odd parts;
-    # the worst relative error measured here is 1.0e-12
-    orders = [-1 + 2j, -2j, 2.0, -2.0, -1 - 2j, 1.5j]
-    with mp.workdps(30):
-        for j, z in enumerate(_band_points(12, 60)):
+        for j, z in enumerate(pts):
             nu = orders[j % len(orders)]
             val, der = pcf_d(nu, z)
             ref = mp.pcfd(nu, z)
             refd = complex(0.5 * z * ref - mp.pcfd(nu + 1, z))
             ref = complex(ref)
-            assert abs(val - ref) <= 5e-12 * abs(ref)
-            assert abs(der - refd) <= 5e-12 * abs(refd)
+            assert abs(val - ref) <= rel * abs(ref)
+            assert abs(der - refd) <= rel * abs(refd)
+
+
+def test_pcf_cancellation_band_matches_oracle():
+    _assert_matches_oracle(BAND_ORDERS, _band_points(8, 40), 1e-10)
+
+
+def test_pcf_band_transport_matches_oracle():
+    # the worst relative error measured here is 1.0e-12
+    _assert_matches_oracle(ORDERS_TWO, _band_points(12, 60), 5e-12)
 
 
 def test_pcf_march_wedge_matches_oracle():
     # the right near-real wedge Re z^2 > 6, Re z >= 0, |z| < 7.6, where D_nu
     # comes from Taylor transport of the Weber ODE inward from |z| = 7.6
-    pts = _seeded_points(10, 40, lambda z, z2: z2.real > 6.0 and z.real >= 0.0)
-    with mp.workdps(30):
-        for j, z in enumerate(pts):
-            nu = BAND_ORDERS[j % len(BAND_ORDERS)]
-            val, der = pcf_d(nu, z)
-            ref = mp.pcfd(nu, z)
-            refd = complex(0.5 * z * ref - mp.pcfd(nu + 1, z))
-            ref = complex(ref)
-            assert abs(val - ref) <= 1e-10 * abs(ref)
-            assert abs(der - refd) <= 1e-10 * abs(refd)
+    _assert_matches_oracle(BAND_ORDERS, _wedge_points(10, 40), 1e-10)
+
+
+def test_pcf_march_wedge_at_order_two_matches_oracle():
+    # marched inward in steps of |h| <= 2; the worst relative error measured
+    # here is 2.4e-11 in D and 2.9e-11 in D', as with unit steps: at nu = -2
+    # the asymptotic seed on the ring is already off by ~1.3e-11
+    _assert_matches_oracle(ORDERS_TWO, _wedge_points(14, 60), 1e-10)
 
 
 def test_pcf_march_stops_before_its_cap(monkeypatch):
