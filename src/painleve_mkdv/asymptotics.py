@@ -234,12 +234,19 @@ def v_neg_launch(x, p: ASParams, c: ConnectionConstants):
     return _sum_orders(x, p, c, _ORDER + 1, True)
 
 
+def _decay_coefficients(alpha: float) -> tuple[float, float]:
+    """(a4, a7): the decaying model's x^{-4} coefficient 2 alpha (1 - alpha^2)
+    and the x^{-7} one it omits, a4 (20 - 6 alpha^2)."""
+    a4 = 2.0 * alpha * (1.0 - alpha * alpha)
+    return a4, a4 * (20.0 - 6.0 * alpha * alpha)
+
+
 def v_pos_asym(x, alpha: float):
     """Decaying model of v and its derivative for x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("v_pos_asym requires x > 0")
-    a4 = 2.0 * alpha * (1.0 - alpha * alpha)
+    a4 = _decay_coefficients(alpha)[0]
     v = alpha / x + a4 / x ** 4
     v_prime = -alpha / x ** 2 - 4.0 * a4 / x ** 5
     if v.ndim == 0:

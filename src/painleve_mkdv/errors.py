@@ -10,7 +10,8 @@ class DomainError(PainleveError, ValueError):
 
 
 class DegenerateParamsError(PainleveError, ValueError):
-    """Operation undefined for the degenerate pair (alpha, k) = (0, 0)."""
+    """Operation undefined where d, and so nu = -i d^2/2, is zero: at the pair
+    (alpha, k) = (0, 0), or at a pair so near it that d^2 underflows."""
 
 
 class PoleError(PainleveError, ValueError):

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 from scipy.special import fresnel, itairy, sici
 
-from .asymptotics import _oscillatory_rows, psi_tilde
+from .asymptotics import _decay_coefficients, _oscillatory_rows, psi_tilde
 from .errors import DomainError
 from .pii import AblowitzSegurSolution, tuned_solution
 from .stokes import ASParams, ConnectionConstants, _edge_cosine
@@ -148,10 +148,9 @@ def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
     d2 = c.d * c.d
     ddpsi = 0.5 / math.sqrt(s) + 0.75 * d2 / (s * s)
     dddpsi = -0.25 / (s * math.sqrt(s)) - 1.5 * d2 / (s * s * s)
-    a4 = 2.0 * p.alpha * (1.0 - p.alpha * p.alpha)
+    a4, a7 = _decay_coefficients(p.alpha)
     value = a4 * _power_tail(4.0, -xi, s)
     # the evaluator's decaying model omits a7 x^{-7} and k Ai(x) on [x_match, inf)
-    a7 = a4 * (20.0 - 6.0 * p.alpha * p.alpha)
     est = (abs(a7) * x_match ** -6 / 6.0
            + abs(p.k) * (1.0 / 3.0 - float(itairy(x_match)[0])))
     for power, m, cos_c, sin_c in _oscillatory_rows(c.d, p.alpha):

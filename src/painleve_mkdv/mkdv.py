@@ -62,11 +62,9 @@ class SelfSimilarField:
         self.t = float(t)
         self.solution = solution if solution is not None else tuned_solution(params)
 
-    def u(self, x, t: float | None = None):
-        """u(t, x); vectorized over x.  An explicit t reuses the same profile
-        grid (self-similarity), never a new solve."""
-        t_eval = self.t if t is None else float(t)
-        scale = (3.0 * t_eval) ** (-1.0 / 3.0)
+    def u(self, x):
+        """u(t, x); vectorized over x."""
+        scale = (3.0 * self.t) ** (-1.0 / 3.0)
         return -2.0 * scale * self.solution.v(np.asarray(x, dtype=float) * scale)[0]
 
 
@@ -94,8 +92,8 @@ def pde_residual_fd(field: SelfSimilarField, window: tuple[float, float],
     u_t + u_xxx - (3/2) u^2 u_x, second order in h.
 
     Time derivatives reuse the same profile grid at rescaled arguments; the
-    seven stencil rows are evaluated in one call, each point as ``field.u``
-    evaluates it.
+    seven stencil rows are evaluated in one call, each point as ``u`` of a
+    field at that row's time evaluates it.
     """
     x_lo, x_hi = float(window[0]), float(window[1])
     if not (h > 0.0 and x_lo < x_hi):

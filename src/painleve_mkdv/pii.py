@@ -63,13 +63,11 @@ __all__ = [
     "fit_oscillation",
     "AblowitzSegurSolution",
     "tuned_solution",
-    "dense_residual",
 ]
 
 BLOWUP_THRESHOLD = 1.0e6
 
 _FIT_MAX_NFEV = 200  # least-squares evaluation budget of fit_oscillation
-_FD_STEP = 1e-6  # central-difference step of dense_residual
 
 
 def pii_rhs(x: float, v: float, alpha: float) -> float:
@@ -292,11 +290,6 @@ def _integrate(y0, x_start, x_end, alpha, tol):
     return SolutionGrid(t, y, float(x_start), n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, f)
 
 
-def _connection(p: ASParams) -> ConnectionConstants:
-    """(d, phi) of p; the zero profile, whose phi is undefined, takes (0, 0)."""
-    return ConnectionConstants(0.0, 0.0) if p.degenerate else connection_constants(p)
-
-
 def solve_left_launch(p: ASParams, x_start: float, x_end: float,
                       tol: float) -> SolutionGrid:
     """Integrate rightward from the oscillatory region.
@@ -312,7 +305,7 @@ def solve_left_launch(p: ASParams, x_start: float, x_end: float,
         raise DomainError("left launch requires x_start <= -20")
     if not (x_start < x_end <= 6.0):
         raise DomainError("left launch requires x_start < x_end <= 6")
-    y0 = v_neg_launch(x_start, p, _connection(p))
+    y0 = v_neg_launch(x_start, p, connection_constants(p))
     return _integrate(y0, x_start, x_end, p.alpha, tol)
 
 
@@ -400,7 +393,7 @@ class AblowitzSegurSolution:
 
     def __init__(self, params: ASParams):
         self.params = params
-        self.connection = _connection(params)
+        self.connection = connection_constants(params)
         s_left, self.launch_error = launch_depth(self.connection, params.alpha)
         self.x_left = -s_left
         self.grid = solve_left_launch(params, self.x_left, self.x_match, LAUNCH_TOL)
@@ -429,14 +422,3 @@ def tuned_solution(p: ASParams) -> AblowitzSegurSolution:
     recently used first out): grids are read-only, ~0.23 MB from -60, so 32
     hold ~7 MB (~28 MB as one scipy interpolant object per step)."""
     return AblowitzSegurSolution(p)
-
-
-def dense_residual(grid: SolutionGrid, xs, alpha: float) -> float:
-    """Max |d(v')/dx - (x v + 2 v^3 - alpha)| over xs, differentiating the
-    dense-output interpolant."""
-    xs = np.asarray(xs, dtype=float)
-    v, _ = grid.evaluate(xs)
-    vp_plus = grid.evaluate(xs + _FD_STEP)[1]
-    vp_minus = grid.evaluate(xs - _FD_STEP)[1]
-    implied = (vp_plus - vp_minus) / (2.0 * _FD_STEP)
-    return float(np.max(np.abs(implied - pii_rhs(xs, v, alpha))))

@@ -23,6 +23,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -266,20 +267,11 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
 
 # t_right_parametrix and m_pred are called in turn at the same (p, t, z) by
 # every sweep (parametrix_decay, and the left side through -z), so the last
-# point's shared terms are kept: (key, (rh_constants, s3, phase_maps, beta)),
-# read and replaced as one tuple, so a key never meets another point's terms.
-_last_point: tuple = (None, None)
-
-
+# point's shared terms are kept: rh_constants, s3, phase_maps and beta.
+@lru_cache(maxsize=1)
 def _point_terms(p: ASParams, t: float, z: complex) -> tuple:
-    global _last_point
-    key = (p, t, z)
-    seen, terms = _last_point
-    if seen != key:
-        rc = rh_constants(p)
-        terms = (rc, stokes_triple(p).s3, phase_maps(z), beta_fn(z, t, rc.nu))
-        _last_point = (key, terms)
-    return terms
+    rc = rh_constants(p)
+    return rc, stokes_triple(p).s3, phase_maps(z), beta_fn(z, t, rc.nu)
 
 
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
@@ -291,15 +283,14 @@ def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
         raise DomainError("t_right_parametrix expects 0.05 <= |z - 1/2| <= 0.2")
     if not t > 0.0:
         raise DomainError("t must be positive")
-    if p.degenerate:
-        raise DegenerateParamsError("parametrix prefactor -h1/s3 undefined at (0,0)")
     rc, s3, (theta, _, zeta), beta = _point_terms(p, t, z)
-    nu = rc.nu
+    if rc.nu == 0:  # (0, 0), or a pair so near it that d^2 underflows
+        raise DegenerateParamsError("parametrix prefactor -h1/s3 undefined where nu = 0")
     w = math.sqrt(t) * zeta
     a_fac = cmath.sqrt(-rc.h1 / s3)
     left = beta / a_fac * cmath.exp(1j * t / 3.0) * _SQRT_HALF
     right = cmath.exp(t * theta) * a_fac
-    z00, z01, z10, z11 = _z_entries(nu, w)
+    z00, z01, z10, z11 = _z_entries(rc.nu, w)
     return np.array([[left * (w * z00 + z10) * right, left * (w * z01 + z11) / right],
                      [z00 * right / left, z01 / (left * right)]], dtype=complex)
 

@@ -13,11 +13,11 @@ Numerical layout:
   fix this package's input checks and branch convention.  The reciprocal
   Gamma factors of ``pcf_d`` come from ``scipy.special.rgamma``, which is
   exactly zero at the poles.
-* ``pcf_d`` is built here, since scipy has no complex-order D_nu.  It uses the
-  even/odd Kummer series below |z| = 7.6 and the large-z expansion (plus the
-  reflection connection into the left sectors) beyond.  Two regions below
-  the ring are bridged by Taylor transport of the Weber ODE
-  u'' = (z^2/4 - nu - 1/2) u along the ray instead:
+* ``pcf_d`` is built here, since scipy has no complex-order D_nu.  Its one
+  path chooser, ``_pcf_core``, takes the even/odd Kummer series below
+  |z| = 7.6, and beyond it the large-z expansion for |arg z| <= pi/2 and the
+  reflection connection (through ``_pcf_core`` again) elsewhere.  Two regions
+  below the ring take Taylor transport of the Weber ODE along the ray instead:
   - near the real axis, where D_nu is recessive and the even/odd split
     cancels by e^{Re z^2/2}, inward from the asymptotic ring; with D
     recessive at the seed that direction cannot amplify the seed error;
@@ -87,7 +87,6 @@ def log_gamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _PCF_ASYM_RADIUS = 7.6
-_PCF_CONNECT_ARG = 0.5 * math.pi
 _PCF_MAX_ABS = 50.0
 _MARCH_TERMS = 64
 # Taylor step lengths of the inward march and the outward band transport
@@ -178,12 +177,12 @@ def _pcf_asym(nu: complex, z: complex) -> tuple[complex, complex]:
     return value, deriv
 
 
-def _pcf_connect(nu: complex, z: complex, ev) -> tuple[complex, complex]:
-    """Reflection identity with sub-evaluations through ``ev``.
+def _pcf_connect(nu: complex, z: complex) -> tuple[complex, complex]:
+    """Reflection identity, each term through ``_pcf_core``.
 
     The rotation sign is tied to the half-plane so that both reflected
-    arguments land in sectors where ``ev`` is accurate; the two terms live on
-    different exponential scales, so the sum never cancels.
+    arguments land in sectors where ``_pcf_core`` is accurate; the two terms
+    live on different exponential scales, so the sum never cancels.
     """
     if z.imag >= 0.0:
         phase, rot = 1.0, -1.0j
@@ -192,22 +191,9 @@ def _pcf_connect(nu: complex, z: complex, ev) -> tuple[complex, complex]:
     c1 = cmath.exp(phase * 1j * math.pi * nu)
     c2 = (math.sqrt(2.0 * math.pi) * complex(rgamma(-nu))
           * cmath.exp(phase * 1j * math.pi * (nu + 1.0) / 2.0))
-    v1, d1 = ev(nu, -z)
-    v2, d2 = ev(-nu - 1.0, rot * z)
+    v1, d1 = _pcf_core(nu, -z)
+    v2, d2 = _pcf_core(-nu - 1.0, rot * z)
     return c1 * v1 + c2 * v2, -c1 * d1 + c2 * rot * d2
-
-
-def _pcf_far(nu: complex, z: complex) -> tuple[complex, complex]:
-    """|z| >= asymptotic radius, any direction.
-
-    Beyond |arg z| = pi/2 the subdominant exponential switched on by the
-    Stokes phenomenon is no longer negligible, so the one-sided expansion is
-    replaced by the reflection identity (both reflected arguments then sit
-    within |arg| <= pi/2, where their expansions are complete).
-    """
-    if abs(cmath.phase(z)) <= _PCF_CONNECT_ARG:
-        return _pcf_asym(nu, z)
-    return _pcf_connect(nu, z, _pcf_asym)
 
 
 @lru_cache(maxsize=1)
@@ -254,9 +240,9 @@ def _transport(nu: complex, z0: complex, u: complex, up: complex,
 
 
 def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
-    """Transport inward along the ray from the asymptotic ring."""
+    """Transport inward along the ray from the asymptotic ring (Re z > 0)."""
     z0 = z * (_PCF_ASYM_RADIUS / abs(z))
-    return _transport(nu, z0, *_pcf_far(nu, z0), z, _MARCH_STEP)
+    return _transport(nu, z0, *_pcf_asym(nu, z0), z, _MARCH_STEP)
 
 
 def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
@@ -285,7 +271,12 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
 
 def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
     if abs(z) >= _PCF_ASYM_RADIUS:
-        return _pcf_far(nu, z)
+        # Past |arg z| = pi/2 the Stokes phenomenon switches on a subdominant
+        # exponential, so the reflection identity takes over: both reflected
+        # arguments keep |z| and have |arg| <= pi/2, where the expansion is complete.
+        if abs(cmath.phase(z)) <= 0.5 * math.pi:
+            return _pcf_asym(nu, z)
+        return _pcf_connect(nu, z)
     # Below the asymptotic ring the even/odd series loses e^{Re z^2/2} to
     # prefactor cancellation wherever D is recessive (right near-real wedge),
     # where inward ODE transport from the ring is stable instead.  The left
@@ -298,7 +289,7 @@ def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
     if z2.real > 6.0:
         if z.real >= 0.0:
             return _pcf_march(nu, z)
-        return _pcf_connect(nu, z, _pcf_core)
+        return _pcf_connect(nu, z)
     if abs(z2.imag) > 18.0:
         return _pcf_origin(nu, z)
     return _pcf_series(nu, z)

@@ -125,14 +125,14 @@ def connection_constants(p: ASParams) -> ConnectionConstants:
     d   = sqrt(-ln(cos^2(pi alpha) - k^2) / pi)
     phi = -(3/2) d^2 ln 2 + arg Gamma(i d^2 / 2) - pi/4 - arg(-sin(pi alpha) - i k)
 
-    with principal-branch arguments, the result reduced to (-pi, pi].
+    with principal-branch arguments, the result reduced to (-pi, pi].  The
+    zero profile (0, 0), whose phi is undefined, takes (0, 0); a nonzero pair
+    so close to it that d^2 underflows raises ``DegenerateParamsError``.
     """
     if p.degenerate:
-        raise DegenerateParamsError("connection constants undefined at (0, 0): d = 0")
+        return ConnectionConstants(0.0, 0.0)
     d2 = _d_squared(p)
     if d2 == 0.0:
-        # parameters so close to (0, 0) that d underflows; the oscillation
-        # amplitude is numerically zero and phi is undefined
         raise DegenerateParamsError("d underflows to zero for these parameters")
     d = math.sqrt(d2)
     arg_gamma = log_gamma(0.5j * d2).imag

@@ -155,3 +155,17 @@ def test_v_hat_odd_part_is_f_limit(sol_025_03):
     odd = 0.5 * (v_hat(p, 1e-3, solution=sol_025_03)
                  - v_hat(p, -1e-3, solution=sol_025_03))
     assert abs(odd - complex(0.0, -math.pi * p.alpha)) < 1e-3
+
+
+@pytest.mark.parametrize("xi,tol", [(0.0, 1e-3), (0.25, 1e-2)])
+def test_tail_remainder_warning_fires(sol_025_03, xi, tol):
+    # the public entry points stay under their tolerances on the acceptance
+    # pairs, so the transform is driven with a tol on either side of its own
+    # estimate; under -W error a warning on the quiet side fails the test
+    p = sol_025_03.params
+    est = integrals._tails(p, sol_025_03.connection, 20.0, xi, sol_025_03.x_match)[1]
+    assert 0.0 < est < tol
+    quiet = integrals._symmetric_transform(p, xi, 20.0, 2.0 * est, sol_025_03)
+    with pytest.warns(UserWarning, match="tail remainder"):
+        loud = integrals._symmetric_transform(p, xi, 20.0, 0.5 * est, sol_025_03)
+    assert loud == quiet

@@ -378,6 +378,17 @@ def test_t_right_annulus_guard():
         t_right_parametrix(make_params(0.0, 0.0), 50.0, 0.5 + 0.15j)
 
 
+@pytest.mark.parametrize("pair", [(0.0, 1e-200), (1e-200, 0.0)])
+def test_t_right_rejects_underflowing_d(pair):
+    # not the degenerate pair, but d^2 underflows, so nu = h1 = 0 there
+    p = make_params(*pair)
+    assert not p.degenerate and rh_constants(p).nu == 0
+    with pytest.raises(DegenerateParamsError):
+        t_right_parametrix(p, 50.0, 0.5 + 0.15j)
+    with pytest.raises(DegenerateParamsError):
+        parametrix_decay(p)
+
+
 def _t_right_chain(p, t, z):
     # the parametrix as the product of its factors: four diagonal powers,
     # P(w), Z(w) and two more diagonal powers
@@ -451,7 +462,7 @@ def test_sweep_point_terms_formed_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(rv, name, counted(name))
-    monkeypatch.setattr(rv, "_last_point", (None, None))
+    rv._point_terms.cache_clear()
     z = 0.5 + 0.15 * cmath.exp(0.7j)
     t_right_parametrix(P253, 40.0, z)
     m_pred(P253, 40.0, z, "right")
@@ -461,7 +472,11 @@ def test_sweep_point_terms_formed_once(monkeypatch):
     assert calls == {"phase_maps": 2, "beta_fn": 2}
 
 
-def test_sweep_point_memo_is_bit_identical(monkeypatch):
+def test_sweep_point_memo_holds_one_point():
+    assert rv._point_terms.cache_info().maxsize == 1
+
+
+def test_sweep_point_memo_is_bit_identical():
     # interleaved calls at two pairs sharing (t, z), on both sides, against
     # the same calls each made with the memo emptied first
     t, z = 40.0, 0.5 + 0.15 * cmath.exp(0.7j)
@@ -472,7 +487,7 @@ def test_sweep_point_memo_is_bit_identical(monkeypatch):
            (t_left_parametrix, (P05, t, -z)), (m_pred, (P253, t, z, "right"))]
     memo = [f(*args) for f, args in seq]
     for (f, args), got in zip(seq, memo):
-        monkeypatch.setattr(rv, "_last_point", (None, None))
+        rv._point_terms.cache_clear()
         assert np.array_equal(f(*args), got)
 
 

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import DegenerateParamsError, DomainError
-from painleve_mkdv.stokes import (connection_constants, make_params,
-                                  reduce_angle, rh_constants, stokes_triple)
+from painleve_mkdv.stokes import (ConnectionConstants, connection_constants,
+                                  make_params, reduce_angle, rh_constants,
+                                  stokes_triple)
 
 # (alpha, k) -> (d, phi) frozen from a 30-digit evaluation of the closed forms
 CONNECTION_TABLE = [
@@ -69,9 +70,16 @@ def test_connection_constants_reference(pair, d_ref, phi_ref):
     assert -math.pi < c.phi <= math.pi
 
 
-def test_connection_degenerate_rejected():
+def test_connection_degenerate_is_zero():
+    # the zero profile, whose phi is undefined, takes (d, phi) = (0, 0)
+    assert connection_constants(make_params(0.0, 0.0)) == ConnectionConstants(0.0, 0.0)
+
+
+@pytest.mark.parametrize("pair", [(0.0, 1e-200), (1e-200, 0.0)])
+def test_connection_underflowing_d_rejected(pair):
+    # nonzero pairs whose d^2 underflows to 0 have no phase to give
     with pytest.raises(DegenerateParamsError):
-        connection_constants(make_params(0.0, 0.0))
+        connection_constants(make_params(*pair))
 
 
 @given(valid_pairs())
