@@ -19,7 +19,7 @@ class PoleError(PainleveError, ValueError):
 
 
 class SpecFunRangeError(PainleveError, ValueError):
-    """Argument outside the supported evaluation range (would overflow)."""
+    """Argument outside the supported evaluation range (would overflow or exceed a term cap)."""
 
 
 class BranchCutError(PainleveError, ValueError):

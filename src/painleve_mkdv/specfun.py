@@ -17,24 +17,25 @@ Numerical layout:
   path chooser, ``_pcf_core``, takes the even/odd Kummer series below
   |z| = 7.6, and beyond it the large-z expansion for |arg z| <= pi/2 and the
   reflection connection (through ``_pcf_core`` again) elsewhere.  Two regions
-  below the ring take Taylor transport of the Weber ODE along the ray instead:
-  - near the real axis, where D_nu is recessive and the even/odd split
-    cancels by e^{Re z^2/2}, inward from the asymptotic ring; with D
-    recessive at the seed that direction cannot amplify the seed error;
-  - in the band |Im z^2| > 18, Re z^2 <= 6, where the series terms cancel by
-    e^{|Im z^2|/2}, outward from (D_nu(0), D_nu'(0)) in closed form; there
-    both solutions start O(1), and D, dominant where Re z^2 < 0, is never
-    recessive by more than |e^{-z^2/4}| >= e^{-1.5}.
-  The inward march takes Taylor steps of |h| <= 2, since D grows in that
-  direction and a longer step adds terms but no cancellation; the outward
-  band transport keeps |h| <= 1, where the local behaviour oscillates.  Each
-  step sums at most 64 coefficients and stops early once three terms in a
-  row fall below 1e-18 of the value (8 terms at least); no step on |nu| <= 2
-  was seen to need more than 59.
-* The last two Kummer sums are cached.  By Kummer's transformation
-  M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and D_nu(+-w) share
-  their two sums, so the second column of the parametrix matrix Z reuses
-  the first column's whenever both take the series path.  The seeds
+  below the ring, where the series cancels, take other paths:
+  - where D_nu is recessive (Re z > 0, Re z^2 > 0; the series loses
+    e^{Re z^2/2}), the right near-real wedge Re z^2 > 6 and the band points
+    below: D_{nu+1}/D_nu from its continued fraction (Gautschi, SIAM Rev. 9
+    (1967); at most 128 terms, 78 seen on |nu| <= 2.3), scaled by the
+    Wronskian with the dominant D_{-nu-1}(-+iz) (DLMF 12.2);
+  - elsewhere in the band |Im z^2| > 18, Re z^2 <= 6 (terms cancel by
+    e^{|Im z^2|/2}): Taylor transport of the Weber ODE outward from
+    (D_nu(0), D_nu'(0)) in closed form, where both solutions start O(1), in
+    steps of |h| <= 1 of at most 64 coefficients, each stopping once three
+    terms in a row fall below 1e-18 of the value (8 terms at least).
+  Both read at most 1.0e-12 relative to 30-digit mpmath in D and D' (320
+  seeded wedge and 120 band points at 11 orders, |nu| <= 2).
+* ``_pcf_core`` keeps its last two points: the wedge path's partner is the
+  other column of the parametrix matrix Z, so a Z point evaluates each
+  column once.  The last two Kummer sums are cached as well: by Kummer's
+  transformation M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and
+  D_nu(+-w) share their two sums, so Z's second column reuses the first
+  column's whenever both take the series path.  The seeds
   (D_nu(0), D_nu'(0)) of the last two orders are cached too: a parametrix
   sweep alternates nu and -nu-1.
 """
@@ -88,10 +89,9 @@ def log_gamma(z: complex) -> complex:
 
 _PCF_ASYM_RADIUS = 7.6
 _PCF_MAX_ABS = 50.0
-_MARCH_TERMS = 64
-# Taylor step lengths of the inward march and the outward band transport
-_MARCH_STEP = 2.0
+_TAYLOR_TERMS = 64  # coefficients per band transport step of |h| <= _BAND_STEP
 _BAND_STEP = 1.0
+_CF_TERMS = 128  # continued-fraction terms; 78 seen on |nu| <= 2.3
 
 
 def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
@@ -203,24 +203,24 @@ def _term_table(n_terms: int) -> tuple[tuple[float, float], ...]:
                  for m in range(n_terms - 2))
 
 
-def _transport(nu: complex, z0: complex, u: complex, up: complex,
-               z: complex, max_step: float) -> tuple[complex, complex]:
-    """Carry (u, u') of a solution of the Weber ODE u'' = (z^2/4 - nu - 1/2) u
-    from z0 to z along the segment, in equal Taylor steps of |h| <= max_step
-    (``_MARCH_STEP`` inward from the ring, ``_BAND_STEP`` outward from 0)."""
-    n_steps = max(1, math.ceil(abs(z - z0) / max_step))
-    h = (z - z0) / n_steps
+def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
+    """Carry (D_nu, D_nu') from z = 0 outward along the segment to z, in equal
+    Taylor steps of |h| <= ``_BAND_STEP`` of the Weber ODE
+    u'' = (z^2/4 - nu - 1/2) u."""
+    u, up = _pcf_at_zero(nu)
+    n_steps = max(1, math.ceil(abs(z) / _BAND_STEP))
+    h = z / n_steps
     q = nu + 0.5
     h2 = h * h
     h4 = 0.25 * h2 * h2
-    table = _term_table(_MARCH_TERMS)
+    table = _term_table(_TAYLOR_TERMS)
     for i in range(n_steps):
-        c = z0 + i * h
+        c = i * h
         p0 = (0.25 * c * c - q) * h2
         p1 = 0.5 * c * h2 * h
         # The Taylor coefficients about c obey (m+2)(m+1) a_{m+2} =
         # (c^2/4 - q) a_m + (c/2) a_{m-1} + a_{m-2}/4; the step carries
-        # b_m = a_m h^m, at most _MARCH_TERMS of them.  The value is sum b_m
+        # b_m = a_m h^m, at most _TAYLOR_TERMS of them.  The value is sum b_m
         # and h u' is sum m b_m; the step stops once three terms in a row
         # fall below 1e-18 of the value, after at least 8 terms.
         bm2, bm1, bm, bp1 = 0j, 0j, u, up * h  # b_{m-2}, b_{m-1}, b_m, b_{m+1}
@@ -239,25 +239,41 @@ def _transport(nu: complex, z0: complex, u: complex, up: complex,
     return u, up
 
 
-def _pcf_march(nu: complex, z: complex) -> tuple[complex, complex]:
-    """Transport inward along the ray from the asymptotic ring (Re z > 0)."""
-    z0 = z * (_PCF_ASYM_RADIUS / abs(z))
-    return _transport(nu, z0, *_pcf_asym(nu, z0), z, _MARCH_STEP)
-
-
-def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
-    """Transport outward along the ray from z = 0."""
-    return _transport(nu, 0j, *_pcf_at_zero(nu), z, _BAND_STEP)
+def _pcf_wedge(nu: complex, z: complex) -> tuple[complex, complex]:
+    """D_nu where it is recessive (Re z > 0, Re z^2 > 0, |z| < 7.6): there it
+    is the minimal solution of D_{nu+1} - z D_nu + nu D_{nu-1} = 0 as the
+    order falls, so f = D_{nu+1}/D_nu = z - nu/(z + (1-nu)/(z + ...)) by
+    modified Lentz, and D_nu'/D_nu = z/2 - f.  The Wronskian with the dominant
+    partner, W{D_nu(z), D_{-nu-1}(sz)} = -s e^{-s pi nu/2}, sets the scale.
+    It holds for s = +-i; s = -i for Im z >= 0, else +i, is Z's other column."""
+    f = c = z
+    d = 0j
+    for k in range(_CF_TERMS):
+        a = k - nu
+        d = 1.0 / (z + a * d or 1e-300)
+        c = z + a / c or 1e-300
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 5e-16:  # two units in the last place
+            break
+    else:
+        raise SpecFunRangeError(f"continued fraction of D_nu at nu = {nu}, z = {z} "
+                                f"needs more than {_CF_TERMS} terms")
+    s = -1j if z.imag >= 0.0 else 1j
+    rho = 0.5 * z - f
+    vp, dp = _pcf_core(-nu - 1.0, s * z)
+    value = -s * cmath.exp(-0.5 * math.pi * s * nu) / (s * dp - rho * vp)
+    return value, rho * value
 
 
 def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     """Parabolic cylinder function: return (D_nu(z), d/dz D_nu(z)).
 
-    Intended range |nu| <= 2, |z| <= 50.  Relative accuracy is ~1e-11 on
-    most of it, but only ~1e-10 where D_nu is small next to the even and
-    odd parts of its series: complex orders near |nu| = 2, |z| ~ 4-6 about
-    arg z = +-45 degrees (at nu = -1 + 2i, z = 3.48 + 2.53i, D is off by
-    8.3e-11 and D' by 1.1e-10 relative to mpmath).
+    Intended range |nu| <= 2, |z| <= 50.  Relative accuracy is ~1e-12 in the
+    right wedge and the band (see the module notes), ~2e-11 elsewhere, but
+    ~1e-10 where D_nu is small next to its even and odd series parts: near
+    |nu| = 2, |z| ~ 4-6, arg z ~ +-45 degrees (8.3e-11 in D and 1.1e-10 in D'
+    at nu = -1 + 2i, z = 3.48 + 2.53i, relative to mpmath).
     """
     nu = complex(nu)
     z = complex(z)
@@ -269,6 +285,7 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     return _pcf_core(nu, z)
 
 
+@lru_cache(maxsize=2)  # a wedge point and its partner, Z's two columns
 def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
     if abs(z) >= _PCF_ASYM_RADIUS:
         # Past |arg z| = pi/2 the Stokes phenomenon switches on a subdominant
@@ -277,19 +294,15 @@ def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
         if abs(cmath.phase(z)) <= 0.5 * math.pi:
             return _pcf_asym(nu, z)
         return _pcf_connect(nu, z)
-    # Below the asymptotic ring the even/odd series loses e^{Re z^2/2} to
-    # prefactor cancellation wherever D is recessive (right near-real wedge),
-    # where inward ODE transport from the ring is stable instead.  The left
-    # near-real wedge (D dominant, transport unstable) reflects into the
-    # right wedge and the near-imaginary wedge.  Where z^2 is far off the
-    # real axis the series terms cancel by e^{|Im z^2|/2}; there transport
-    # outward from z = 0 is stable (see the module notes).  Elsewhere the
-    # series is accurate.
+    # Below the ring the series cancels in the near-real wedge Re z^2 > 6 and
+    # in the band |Im z^2| > 18 (see the module notes).  Where D is recessive
+    # there it takes the wedge path; the left wedge (D dominant) reflects into
+    # the right wedge and the near-imaginary wedge.
     z2 = z * z
-    if z2.real > 6.0:
-        if z.real >= 0.0:
-            return _pcf_march(nu, z)
+    if z2.real > 6.0 and z.real < 0.0:
         return _pcf_connect(nu, z)
+    if z.real > 0.0 and (z2.real > 6.0 or (z2.real > 0.0 and abs(z2.imag) > 18.0)):
+        return _pcf_wedge(nu, z)
     if abs(z2.imag) > 18.0:
         return _pcf_origin(nu, z)
     return _pcf_series(nu, z)

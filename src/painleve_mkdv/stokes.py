@@ -44,6 +44,7 @@ class ASParams:
 
     Valid domain: |alpha| < 1/2 and |k| < cos(pi*alpha).  The pair (0, 0)
     is flagged degenerate: it corresponds to the identically zero solution.
+    ``make_params`` also rejects a nonzero pair so near it that d^2 underflows.
     """
 
     alpha: float
@@ -99,7 +100,10 @@ def make_params(alpha: float, k: float) -> ASParams:
     bound = _edge_cosine(alpha)
     if abs(k) >= bound:
         raise DomainError(f"k = {k:g} outside (-cos(pi*alpha), cos(pi*alpha)) = (+-{bound:g})")
-    return ASParams(alpha, k)
+    p = ASParams(alpha, k)
+    if not p.degenerate and _d_squared(p) == 0.0:
+        raise DomainError(f"d^2 underflows to zero at (alpha, k) = ({alpha:g}, {k:g})")
+    return p
 
 
 def stokes_triple(p: ASParams) -> StokesTriple:

@@ -71,6 +71,16 @@ def test_invalid_params_rejected():
     assert main(["total-integral", "--alpha", "0.25", "--k", "0.9"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [["all", "--alpha", "0", "--k", "1e-200"],
+                                  ["rh-checks", "--alpha", "1e-200", "--k", "0"]])
+def test_underflowing_d_rejected_at_input(tmp_path, capsys, argv):
+    # a pair whose d^2 underflows is rejected before any suite runs
+    out = tmp_path / "rep.jsonl"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_degenerate_and_rowcount(tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["grid", "--alpha", "0", "--k", "0", "--out", str(out)])

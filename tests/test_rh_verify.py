@@ -19,8 +19,8 @@ from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn,
                                      residue_check_origin,
                                      stationary_identity, t_left_parametrix,
                                      t_right_parametrix, z_parametrix)
-from painleve_mkdv.stokes import (h_factors, make_params, rh_constants,
-                                  stokes_triple)
+from painleve_mkdv.stokes import (ASParams, h_factors, make_params,
+                                  rh_constants, stokes_triple)
 
 P05 = make_params(0.0, 0.5)
 P253 = make_params(0.25, 0.3)
@@ -323,19 +323,56 @@ def test_z_parametrix_columns_share_kummer_sums(monkeypatch):
 
 
 def test_z_parametrix_band_seeds_are_cached(monkeypatch):
-    # at |Re w^2| <= 6, |Im w^2| > 18 both columns of Z transport outward from
-    # z = 0, seeded at the orders -nu-1 and nu: a repeated point finds both
-    # seeds in the cache
+    # at |Re w^2| <= 6, |Im w^2| > 18 one column of Z transports outward from
+    # z = 0 and the other, recessive there, reads it as its Wronskian partner.
+    # Point a transports D_nu, point b D_{-nu-1}; alternating between them
+    # finds both seeds in the cache
     assert sf._pcf_at_zero.cache_info().maxsize == 2
     nu = -0.5j
-    w = 4.5 * cmath.exp(1j * (0.25 * math.pi + 0.05))
-    assert abs((w * w).real) <= 6.0 and abs((w * w).imag) > 18.0
+    w_a = 4.5 * cmath.exp(1j * (0.25 * math.pi + 0.05))
+    w_b = 4.5 * cmath.exp(1j * (-0.25 * math.pi + 0.05))
+    for w in (w_a, w_b):
+        assert abs((w * w).real) <= 6.0 and abs((w * w).imag) > 18.0
     sf._pcf_at_zero.cache_clear()
-    cached = z_parametrix(nu, w)
-    assert np.array_equal(z_parametrix(nu, w), cached)
+    sf._pcf_core.cache_clear()
+    cached = [z_parametrix(nu, w) for w in (w_a, w_b)]
+    assert sf._pcf_at_zero.cache_info().misses == 2
+    assert all(np.array_equal(z_parametrix(nu, w), z) for w, z in zip((w_a, w_b), cached))
     assert sf._pcf_at_zero.cache_info().hits == 2
     monkeypatch.setattr(sf, "_pcf_at_zero", sf._pcf_at_zero.__wrapped__)
-    assert np.array_equal(z_parametrix(nu, w), cached)
+    sf._pcf_core.cache_clear()
+    assert all(np.array_equal(z_parametrix(nu, w), z) for w, z in zip((w_a, w_b), cached))
+
+
+# Points where the argument of one column of Z lies in the near-real wedge
+# (its square has real part > 6): one per sector, and in sector 1 one for
+# each column
+_WEDGE_COLUMN_W = [4.0 * cmath.exp(1j * math.pi * arg)
+                   for arg in (-0.125, 0.125, 0.375, 0.875, 1.125, 1.625)]
+
+
+@pytest.mark.parametrize("w", _WEDGE_COLUMN_W)
+def test_z_parametrix_wedge_column_reads_the_other(w):
+    # the wedge column's Wronskian partner is the other column: Z evaluates
+    # it once, and the wedge column finds it in the cache of _pcf_core
+    assert sf._pcf_core.cache_info().maxsize == 2
+    sf._pcf_core.cache_clear()
+    z_parametrix(NU05, w)
+    info = sf._pcf_core.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+@pytest.mark.parametrize("w", _WEDGE_COLUMN_W)
+def test_z_parametrix_shared_partner_is_bit_identical(monkeypatch, w):
+    sf._pcf_core.cache_clear()
+    shared = z_parametrix(NU05, w)
+
+    def fresh(nu, z):
+        sf._pcf_core.cache_clear()
+        return sf.pcf_d(nu, z)
+
+    monkeypatch.setattr(rv, "pcf_d", fresh)
+    assert np.array_equal(z_parametrix(NU05, w), shared)
 
 
 def test_z_sector_boundary_guard():
@@ -380,8 +417,9 @@ def test_t_right_annulus_guard():
 
 @pytest.mark.parametrize("pair", [(0.0, 1e-200), (1e-200, 0.0)])
 def test_t_right_rejects_underflowing_d(pair):
-    # not the degenerate pair, but d^2 underflows, so nu = h1 = 0 there
-    p = make_params(*pair)
+    # not the degenerate pair, but d^2 underflows, so nu = h1 = 0 there;
+    # make_params rejects such pairs, so the pair is built directly
+    p = ASParams(*pair)
     assert not p.degenerate and rh_constants(p).nu == 0
     with pytest.raises(DegenerateParamsError):
         t_right_parametrix(p, 50.0, 0.5 + 0.15j)

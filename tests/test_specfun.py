@@ -211,7 +211,8 @@ def test_pcf_range_guard():
 
 # The cancellation band |Im z^2| > 18, Re z^2 <= 6, |z| < 7.6: the terms of
 # the even/odd series cancel there, and D_nu comes from Taylor transport of
-# the Weber ODE outward from z = 0.
+# the Weber ODE outward from z = 0, or, where it is recessive (Re z > 0,
+# Re z^2 > 0), from the wedge's continued fraction.
 BAND_ORDERS = [-0.0458j, -1 + 0.0458j, -0.5j, -1 + 0.5j, 0.3 + 0.2j]
 # |nu| = 2 orders, where D_nu is smallest next to its even and odd parts
 ORDERS_TWO = [-1 + 2j, -2j, 2.0, -2.0, -1 - 2j, 1.5j]
@@ -259,26 +260,51 @@ def test_pcf_band_transport_matches_oracle():
     _assert_matches_oracle(ORDERS_TWO, _band_points(12, 60), 5e-12)
 
 
-def test_pcf_march_wedge_matches_oracle():
+def test_pcf_wedge_matches_oracle():
     # the right near-real wedge Re z^2 > 6, Re z >= 0, |z| < 7.6, where D_nu
-    # comes from Taylor transport of the Weber ODE inward from |z| = 7.6
+    # comes from the continued fraction for D_{nu+1}/D_nu and the Wronskian
+    # with D_{-nu-1}(-+iz)
     _assert_matches_oracle(BAND_ORDERS, _wedge_points(10, 40), 1e-10)
 
 
-def test_pcf_march_wedge_at_order_two_matches_oracle():
-    # marched inward in steps of |h| <= 2; the worst relative error measured
-    # here is 2.4e-11 in D and 2.9e-11 in D', as with unit steps: at nu = -2
-    # the asymptotic seed on the ring is already off by ~1.3e-11
-    _assert_matches_oracle(ORDERS_TWO, _wedge_points(14, 60), 1e-10)
+def test_pcf_wedge_at_order_two_matches_oracle():
+    # the worst relative error measured here is 7.8e-13 in D and in D'
+    _assert_matches_oracle(ORDERS_TWO, _wedge_points(14, 60), 2e-12)
 
 
-def test_pcf_march_stops_before_its_cap(monkeypatch):
-    # every Taylor step on seeded wedge points (inward from the ring) and band
-    # points (outward from z = 0) ends on its own stopping test: raising the
-    # coefficient cap changes no bit
-    pts = (_seeded_points(11, 60, lambda z, z2: z2.real > 6.0 and z.real >= 0.0)
-           + _band_points(13, 60))
-    args = [(BAND_ORDERS[j % len(BAND_ORDERS)], z) for j, z in enumerate(pts)]
+def _recessive_band_points(seed, count):
+    # band points where D_nu is recessive, which take the wedge's path
+    return _seeded_points(seed, count, lambda z, z2: abs(z2.imag) > 18.0
+                          and 0.0 < z2.real <= 6.0 and z.real > 0.0)
+
+
+def _orders_in_turn(pts):
+    return [(BAND_ORDERS[j % len(BAND_ORDERS)], z) for j, z in enumerate(pts)]
+
+
+def test_pcf_band_transport_stops_before_its_cap(monkeypatch):
+    # every Taylor step of the outward band transport from z = 0 ends on its
+    # own stopping test: raising the coefficient cap changes no bit
+    args = _orders_in_turn(_band_points(13, 60))
     capped = [pcf_d(nu, z) for nu, z in args]
-    monkeypatch.setattr(sf, "_MARCH_TERMS", 4 * sf._MARCH_TERMS)
+    monkeypatch.setattr(sf, "_TAYLOR_TERMS", 4 * sf._TAYLOR_TERMS)
+    sf._pcf_core.cache_clear()
     assert [pcf_d(nu, z) for nu, z in args] == capped
+
+
+def test_pcf_wedge_fraction_stops_before_its_cap(monkeypatch):
+    # on seeded wedge points and on band points where D_nu is recessive the
+    # continued fraction ends on its own stopping test: raising its term cap
+    # changes no bit
+    args = _orders_in_turn(_wedge_points(11, 60) + _recessive_band_points(15, 60))
+    capped = [pcf_d(nu, z) for nu, z in args]
+    monkeypatch.setattr(sf, "_CF_TERMS", 4 * sf._CF_TERMS)
+    sf._pcf_core.cache_clear()
+    assert [pcf_d(nu, z) for nu, z in args] == capped
+
+
+def test_pcf_wedge_fraction_raises_at_its_cap(monkeypatch):
+    monkeypatch.setattr(sf, "_CF_TERMS", 4)
+    sf._pcf_core.cache_clear()
+    with pytest.raises(SpecFunRangeError, match="continued fraction"):
+        pcf_d(-0.5j, 3.0 + 0.5j)

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from painleve_mkdv.errors import DegenerateParamsError, DomainError
-from painleve_mkdv.stokes import (ConnectionConstants, connection_constants,
-                                  make_params, reduce_angle, rh_constants,
-                                  stokes_triple)
+from painleve_mkdv.stokes import (ASParams, ConnectionConstants,
+                                  connection_constants, make_params,
+                                  reduce_angle, rh_constants, stokes_triple)
 
 # (alpha, k) -> (d, phi) frozen from a 30-digit evaluation of the closed forms
 CONNECTION_TABLE = [
@@ -42,6 +42,9 @@ def test_make_params_validation():
         make_params(0.1, math.cos(0.1 * math.pi))  # boundary excluded
     with pytest.raises(DomainError):
         make_params(float("nan"), 0.0)
+    for pair in ((0.0, 1e-200), (1e-200, 0.0), (-1e-200, 0.0)):  # d^2 underflows
+        with pytest.raises(DomainError, match="underflows"):
+            make_params(*pair)
 
 
 def test_stokes_triple_values():
@@ -77,9 +80,10 @@ def test_connection_degenerate_is_zero():
 
 @pytest.mark.parametrize("pair", [(0.0, 1e-200), (1e-200, 0.0)])
 def test_connection_underflowing_d_rejected(pair):
-    # nonzero pairs whose d^2 underflows to 0 have no phase to give
+    # nonzero pairs whose d^2 underflows to 0 have no phase to give;
+    # make_params rejects them, so the pair is built directly
     with pytest.raises(DegenerateParamsError):
-        connection_constants(make_params(*pair))
+        connection_constants(ASParams(*pair))
 
 
 @given(valid_pairs())
