@@ -262,9 +262,10 @@ def emit_grid(opts: dict) -> str:
     x_lo = opts.get("x_lo", -60.0)
     x_hi = opts.get("x_hi", 4.0)
     step = opts.get("step", 0.01)
-    if not (step > 0.0 and x_lo < x_hi):
-        raise ConfigError("grid needs x_lo < x_hi and step > 0")
-    n = int(round((x_hi - x_lo) / step))
+    steps = (x_hi - x_lo) / step
+    if not (0.0 < step < math.inf and -math.inf < x_lo < x_hi < math.inf and steps < math.inf):
+        raise ConfigError("grid needs finite x_lo < x_hi and step > 0, and a finite row count")
+    n = int(round(steps))
     xs = x_lo + step * np.arange(n + 1)
     sol = tuned_solution(p)
     v, vp = sol.v(xs)

@@ -173,8 +173,8 @@ def _symmetric_transform(p: ASParams, xi: float, x_cut: float,
     """int v(x) e^{-i xi x} dx in the symmetric-limit sense: the quadrature
     core on [-x_cut, x_cut] plus the tails, warning when the estimate of
     what they omit exceeds ``tol``."""
-    if not x_cut >= 20.0:
-        raise DomainError("tail cutoff must be >= 20")
+    if not 20.0 <= x_cut < math.inf:
+        raise DomainError("tail cutoff must be finite and >= 20")
     sol = solution if solution is not None else tuned_solution(p)
     tails, est = _tails(p, sol.connection, x_cut, xi, sol.x_match)
     value = _core_quadrature(sol, -x_cut, x_cut, xi) + tails
@@ -192,7 +192,7 @@ def pv_total_integral(p: ASParams, cutoff: float = 60.0,
                       solution: AblowitzSegurSolution | None = None) -> float:
     """Principal-value integral of v over the real line (symmetric limit).
 
-    Quadrature on [-cutoff, cutoff] (cutoff >= 20), the tails beyond it
+    Quadrature on [-cutoff, cutoff] (finite cutoff >= 20), the tails beyond it
     summed from the expansions.  Warns when the estimated uncomputed
     remainder exceeds 1e-3.
     """
@@ -209,6 +209,6 @@ def v_hat(p: ASParams, xi: float,
     estimate of what they omit exceeds 1e-2).
     """
     xi = float(xi)
-    if xi == 0.0 or abs(xi) > 1.0:
+    if not 0.0 < abs(xi) <= 1.0:
         raise DomainError("v_hat requires 0 < |xi| <= 1")
     return _symmetric_transform(p, xi, 60.0, 1e-2, solution)

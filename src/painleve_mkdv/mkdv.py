@@ -86,6 +86,13 @@ def _y_window_check(field: SelfSimilarField, xs: np.ndarray, t: float):
             "rescaling")
 
 
+def _finite_window(window: tuple[float, float]) -> tuple[float, float]:
+    x_lo, x_hi = float(window[0]), float(window[1])
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise DomainError("need a finite window x_lo < x_hi")
+    return x_lo, x_hi
+
+
 def pde_residual_fd(field: SelfSimilarField, window: tuple[float, float],
                     h: float) -> float:
     """Max norm over the window of the centered-difference residual of
@@ -95,9 +102,9 @@ def pde_residual_fd(field: SelfSimilarField, window: tuple[float, float],
     seven stencil rows are evaluated in one call, each point as ``u`` of a
     field at that row's time evaluates it.
     """
-    x_lo, x_hi = float(window[0]), float(window[1])
-    if not (h > 0.0 and x_lo < x_hi):
-        raise DomainError("need x_lo < x_hi and h > 0")
+    x_lo, x_hi = _finite_window(window)
+    if not 0.0 < h < math.inf:
+        raise DomainError("need a finite step h > 0")
     t = field.t
     xs = np.arange(x_lo, x_hi + 0.5 * h, h)
     for t_check in (t - h, t, t + h):
@@ -120,7 +127,7 @@ def pde_residual_closure(field: SelfSimilarField, window: tuple[float, float]) -
     closed form from (v, v') and the profile ODE closure
     (v''' = v + y v' + 6 v^2 v'); identically zero up to the accuracy of the
     stored states, so this guards the wiring."""
-    x_lo, x_hi = float(window[0]), float(window[1])
+    x_lo, x_hi = _finite_window(window)
     t = field.t
     xs = np.linspace(x_lo, x_hi, 201)
     _y_window_check(field, xs, t)

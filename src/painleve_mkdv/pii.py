@@ -229,8 +229,10 @@ def _dense_coefficients(t, y, stages, alpha):
 
 def _integrate(y0, x_start, x_end, alpha, tol):
     """DOP853 from x_start to x_end (either direction) with dense output;
-    raises ``BlowupError`` at the first step that ends with |v| above
-    ``BLOWUP_THRESHOLD``."""
+    raises ``DomainError`` unless 0 < tol < inf, and ``BlowupError`` at the
+    first step that ends with |v| above ``BLOWUP_THRESHOLD``."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"launch tolerance {tol!r} outside (0, inf)")
     rtol, atol = tol, tol * 1e-6
     max_step = _max_step_for((x_start, x_end))
     direction = 1.0 if x_end > x_start else -1.0

@@ -53,6 +53,8 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 _RING_PHASE = 0.75 * math.pi
 _ZETA_SCALE = 4.0 * math.sqrt(3.0) / 3.0
+_ZETA_FACTOR = _ZETA_SCALE * cmath.exp(1j * _RING_PHASE)
+_LOG_ZETA_SCALE = math.log(_ZETA_SCALE)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO = math.sqrt(2.0)
 
@@ -95,7 +97,7 @@ def phase_maps(z):
     if near_cut if xm is cmath else near_cut.any():
         warnings.warn("zeta evaluated within 1e-9 of its branch cut (-inf, -1]",
                       stacklevel=2)
-    zeta = _ZETA_SCALE * cmath.exp(1j * _RING_PHASE) * (z - 0.5) * xm.sqrt(w)
+    zeta = _ZETA_FACTOR * (z - 0.5) * xm.sqrt(w)
     return theta, eta, zeta
 
 
@@ -106,7 +108,7 @@ def n_matrix(z: complex, nu: complex) -> np.ndarray:
         raise BranchCutError("n_matrix undefined on the segment [-1/2, 1/2]")
     ratio = (z + 0.5) / (z - 0.5)
     power = cmath.exp(nu * cmath.log(ratio))
-    return np.array([[power, 0.0], [0.0, 1.0 / power]], dtype=complex)
+    return np.array((power, 0.0, 0.0, 1.0 / power), dtype=complex).reshape(2, 2)
 
 
 def beta_fn(z, t: float, nu: complex):
@@ -119,12 +121,13 @@ def beta_fn(z, t: float, nu: complex):
     Takes a complex scalar or an array, elementwise.
     """
     z, xm = _with_module(z)
+    t = float(t)
     if not t > 0.0:
         raise DomainError("beta_fn requires t > 0")
     at_branch = (abs(z + 0.5) < 1e-12) | (abs(z + 1.0) < 1e-12)
     if at_branch if xm is cmath else at_branch.any():
         raise BranchCutError("beta_fn undefined at the left branch points")
-    log_base = (0.5 * math.log(t) + math.log(_ZETA_SCALE) + 1j * _RING_PHASE
+    log_base = (0.5 * math.log(t) + _LOG_ZETA_SCALE + 1j * _RING_PHASE
                 + 0.5 * xm.log(z + 1.0) + xm.log(z + 0.5))
     return xm.exp(nu * log_base)
 
@@ -187,10 +190,8 @@ def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
         raise DomainError("stationary identity requires t > 0")
     if p.degenerate:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    rc = rh_constants(p)
     cc = connection_constants(p)
-    s3 = stokes_triple(p).s3
-    nu = rc.nu
+    nu, _, c12, c21 = _pair_terms(p)
 
     def f_plus(zs):
         return beta_fn(zs, t, nu) ** 2 / phase_maps(zs)[2]
@@ -201,8 +202,8 @@ def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
     c_plus, c_minus = _STATIONARY_CIRCLES
     i_plus = _circle_integral(f_plus, c_plus)
     i_minus = _circle_integral(f_minus, c_minus)
-    lhs = (-t ** -0.5 * (nu * s3 / rc.h1) * cmath.exp(2j * t / 3.0) * i_plus
-           + t ** -0.5 * (rc.h1 / s3) * cmath.exp(-2j * t / 3.0) * i_minus)
+    lhs = (t ** -0.5 * c12 * cmath.exp(2j * t / 3.0) * i_plus
+           - t ** -0.5 * c21 * cmath.exp(-2j * t / 3.0) * i_minus)
     phase = (2.0 / 3.0) * t - 0.75 * cc.d ** 2 * math.log(t ** (2.0 / 3.0)) + cc.phi
     rhs = -1j * math.pi * cc.d * t ** -0.5 * math.cos(phase)
     return lhs, rhs
@@ -218,11 +219,13 @@ def _chain_arg(w: complex) -> float:
 
 
 def _z_sector(w: complex) -> int:
+    # the rays are pi/4 or more apart, so only the found sector's two edges
+    # can lie within 1e-8 of arg
     arg = _chain_arg(w)
-    for ray in _SECTOR_RAYS:
-        if abs(arg - ray) < 1e-8:
-            raise SectorBoundaryError(f"w on a sector boundary ray (arg = {arg:.6f})")
-    return bisect.bisect_right(_SECTOR_RAYS[1:5], arg)
+    sector = bisect.bisect_right(_SECTOR_RAYS[1:5], arg)
+    if arg - _SECTOR_RAYS[sector] < 1e-8 or _SECTOR_RAYS[sector + 1] - arg < 1e-8:
+        raise SectorBoundaryError(f"w on a sector boundary ray (arg = {arg:.6f})")
+    return sector
 
 
 # Per sector: (rotation rot_r of the recessive column with D_nu, rotation
@@ -261,38 +264,49 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
     |w|), so each sector instead writes every column as one function
     recessive or growing *in that sector*, times an exact constant.
     """
-    z00, z01, z10, z11 = _z_entries(nu, complex(w))
-    return np.array([[z00, z01], [z10, z11]], dtype=complex)
+    return np.array(_z_entries(nu, complex(w)), dtype=complex).reshape(2, 2)
 
 
-# t_right_parametrix and m_pred are called in turn at the same (p, t, z) by
-# every sweep (parametrix_decay, and the left side through -z), so the last
-# point's shared terms are kept: rh_constants, s3, phase_maps and beta.
-@lru_cache(maxsize=1)
-def _point_terms(p: ASParams, t: float, z: complex) -> tuple:
+@lru_cache(maxsize=32)  # as rh_constants: as many pairs as profiles cached
+def _pair_terms(p: ASParams) -> tuple | None:
+    """(nu, a, -nu s3/h1, -h1/s3) with a = sqrt(-h1/s3): what the parametrix,
+    m_pred and the stationary identity take from the pair alone.  None where
+    nu = 0: (0, 0), or a pair so near it that d^2 underflows."""
     rc = rh_constants(p)
-    return rc, stokes_triple(p).s3, phase_maps(z), beta_fn(z, t, rc.nu)
+    if rc.nu == 0:
+        return None
+    s3 = stokes_triple(p).s3
+    return rc.nu, cmath.sqrt(-rc.h1 / s3), -(rc.nu * s3 / rc.h1), -(rc.h1 / s3)
+
+
+# t_right_parametrix and m_pred are called in turn at the same (nu, t, z) by
+# every sweep (parametrix_decay, and the left side through -z), so the last
+# point's shared terms are kept: phase_maps and beta.
+@lru_cache(maxsize=1)
+def _point_terms(nu: complex, t: float, z: complex) -> tuple:
+    return phase_maps(z), beta_fn(z, t, nu)
 
 
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
     """Local parametrix about z = +1/2 on the annulus 0.05 <= |z-1/2| <= 0.2:
     T = l^{sigma3} P(w) Z(w) r^{sigma3} with P(w) = [[w, 1], [1, 0]],
     l = beta e^{it/3} / (a sqrt 2), r = a e^{t theta} and a = sqrt(-h1/s3)."""
-    z = complex(z)
+    z, t = complex(z), float(t)
     if not 0.05 - 1e-12 <= abs(z - 0.5) <= 0.2 + 1e-12:
         raise DomainError("t_right_parametrix expects 0.05 <= |z - 1/2| <= 0.2")
     if not t > 0.0:
         raise DomainError("t must be positive")
-    rc, s3, (theta, _, zeta), beta = _point_terms(p, t, z)
-    if rc.nu == 0:  # (0, 0), or a pair so near it that d^2 underflows
+    pair = _pair_terms(p)
+    if pair is None:
         raise DegenerateParamsError("parametrix prefactor -h1/s3 undefined where nu = 0")
+    nu, a_fac, _, _ = pair
+    (theta, _, zeta), beta = _point_terms(nu, t, z)
     w = math.sqrt(t) * zeta
-    a_fac = cmath.sqrt(-rc.h1 / s3)
     left = beta / a_fac * cmath.exp(1j * t / 3.0) * _SQRT_HALF
     right = cmath.exp(t * theta) * a_fac
-    z00, z01, z10, z11 = _z_entries(rc.nu, w)
-    return np.array([[left * (w * z00 + z10) * right, left * (w * z01 + z11) / right],
-                     [z00 * right / left, z01 / (left * right)]], dtype=complex)
+    z00, z01, z10, z11 = _z_entries(nu, w)
+    return np.array((left * (w * z00 + z10) * right, left * (w * z01 + z11) / right,
+                     z00 * right / left, z01 / (left * right)), dtype=complex).reshape(2, 2)
 
 
 def t_left_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
@@ -309,20 +323,23 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     z = complex(z)
     if side == "left":
         return SIGMA2 @ m_pred(p, t, -z, "right") @ SIGMA2
+    t = float(t)
     if not t > 0.0:
         raise DomainError("t must be positive")
-    if rh_constants(p).nu == 0:
+    pair = _pair_terms(p)
+    if pair is None:
         return np.eye(2, dtype=complex)
-    rc, s3, (_, _, zeta), beta = _point_terms(p, t, z)
-    nu = rc.nu
+    nu, _, c12, c21 = pair
+    (_, _, zeta), beta = _point_terms(nu, t, z)
     osc = cmath.exp(2j * t / 3.0)
-    f12 = -(nu * s3 / rc.h1) * osc * beta ** 2 / zeta
-    f21 = -(rc.h1 / s3) / osc * beta ** -2 / zeta
-    g11 = nu * (nu + 1.0) / (2.0 * zeta ** 2)
-    g22 = -nu * (nu - 1.0) / (2.0 * zeta ** 2)
+    f12 = c12 * osc * beta ** 2 / zeta
+    f21 = c21 / osc * beta ** -2 / zeta
+    two_zeta2 = 2.0 * zeta ** 2
+    g11 = nu * (nu + 1.0) / two_zeta2
+    g22 = -nu * (nu - 1.0) / two_zeta2
     rt = math.sqrt(t)
-    return np.array([[1.0 + g11 / t, f12 / rt], [f21 / rt, 1.0 + g22 / t]],
-                    dtype=complex)
+    return np.array((1.0 + g11 / t, f12 / rt, f21 / rt, 1.0 + g22 / t),
+                    dtype=complex).reshape(2, 2)
 
 
 def parametrix_decay(p: ASParams) -> list[tuple[float, float]]:
@@ -337,26 +354,26 @@ def parametrix_decay(p: ASParams) -> list[tuple[float, float]]:
     nu = rh_constants(p).nu
     zs = [0.5 + 0.15 * cmath.exp(1j * (0.0371 + 2.0 * math.pi * j / 16.0))
           for j in range(16)]
+    n_inv = [n_matrix(z, -nu) for z in zs]
     pts = []
-    for t in np.geomspace(10.0, 1000.0, 13):
-        nrm = max(np.linalg.norm(
-            t_right_parametrix(p, t, z) @ n_matrix(z, -nu)
-            - m_pred(p, t, z, "right")) for z in zs)
-        pts.append((float(t), float(nrm)))
+    for t in np.geomspace(10.0, 1000.0, 13).tolist():
+        nrm = max(np.linalg.norm(t_right_parametrix(p, t, z) @ n - m_pred(p, t, z, "right"))
+                  for z, n in zip(zs, n_inv))
+        pts.append((t, float(nrm)))
     return pts
 
 
 def loglog_slope(points) -> float:
     """Least-squares slope of ln(value) against ln(abscissa).
 
-    Expects >= 5 points with positive abscissas and values; raises
+    Expects >= 5 points with finite positive abscissas and values; raises
     ``DomainError`` on degenerate input (coincident abscissas).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
         raise DomainError("loglog_slope needs at least 5 (abscissa, value) pairs")
-    if np.any(pts <= 0.0):
-        raise DomainError("loglog_slope needs positive abscissas and values")
+    if not np.all((pts > 0.0) & (pts < np.inf)):
+        raise DomainError("loglog_slope needs finite positive abscissas and values")
     log_s = np.log(pts[:, 0])
     if np.ptp(log_s) == 0.0:
         raise DomainError("coincident abscissas")

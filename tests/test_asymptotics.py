@@ -227,3 +227,8 @@ def test_loglog_slope_validation():
         loglog_slope([(1.0, 1.0)] * 6)  # coincident abscissas
     with pytest.raises(DomainError):
         loglog_slope([(1.0, 1.0), (2.0, -1.0), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            loglog_slope([(1.0, 1.0), (2.0, bad), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])
+        with pytest.raises(DomainError):
+            loglog_slope([(1.0, 1.0), (bad, 1.0), (3.0, 1.0), (4.0, 1.0), (5.0, 1.0)])

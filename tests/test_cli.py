@@ -113,6 +113,22 @@ def test_grid_deterministic_and_env_override(tmp_path, monkeypatch):
                             f"seam_jump={sol.seam_jump:.3e}")
 
 
+@pytest.mark.parametrize("bounds", [{"x_lo": -math.inf}, {"x_hi": math.inf},
+                                    {"x_lo": math.nan}, {"step": math.inf},
+                                    {"step": math.nan}, {"x_lo": -1e308, "x_hi": 1e308}])
+def test_grid_non_finite_bounds_are_config_errors(tmp_path, capsys, bounds):
+    # exit 2 is a bad input; exit 1 would say a check failed.  The last
+    # bounds are finite, but their row count overflows
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("alpha = 0\nk = 0.5\n" + "".join(f"{k} = {v!r}\n" for k, v in bounds.items()))
+    out = tmp_path / "grid.csv"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        cli.emit_grid({"params": make_params(0.0, 0.5), **bounds})
+
+
 @pytest.mark.parametrize("alpha, k", [(0.25, 0.3), (0.0, 0.0)])
 def test_grid_rows_are_per_value_formats(alpha, k):
     # each row is its values, each written as "%.17g" and joined by commas

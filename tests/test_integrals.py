@@ -58,8 +58,10 @@ def test_formula_near_the_edge():
 
 
 def test_pv_cutoff_validation():
-    with pytest.raises(DomainError):
-        pv_total_integral(make_params(0.0, 0.5), cutoff=10.0)
+    # unguarded, an infinite cutoff walks its panels from -inf without end
+    for cutoff in (10.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pv_total_integral(make_params(0.0, 0.5), cutoff=cutoff)
 
 
 def test_pv_degenerate():
@@ -129,6 +131,9 @@ def test_v_hat_validation(sol_0_05):
         v_hat(sol_0_05.params, 0.0, solution=sol_0_05)
     with pytest.raises(DomainError):
         v_hat(sol_0_05.params, 1.5, solution=sol_0_05)
+    for xi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            v_hat(sol_0_05.params, xi, solution=sol_0_05)
 
 
 def test_v_hat_reality_symmetry(sol_025_03):

@@ -145,6 +145,21 @@ def test_pde_residual_degenerate():
     assert pde_residual_fd(field, (-3.0, 3.0), 0.05) == 0.0
 
 
+def test_non_finite_transform_and_window_rejected(sol_0_05):
+    field = SelfSimilarField(sol_0_05.params, 0.5, solution=sol_0_05)
+    for xi in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            u_hat(field, xi)
+    for window in [(math.nan, 3.0), (-3.0, math.nan), (-math.inf, 3.0), (-3.0, math.inf)]:
+        with pytest.raises(DomainError):
+            pde_residual_closure(field, window)
+        with pytest.raises(DomainError):
+            pde_residual_fd(field, window, 0.05)
+    for h in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            pde_residual_fd(field, (-3.0, 3.0), h)
+
+
 def test_pde_window_out_of_range(sol_0_05):
     field = SelfSimilarField(sol_0_05.params, 1e-4, solution=sol_0_05)
     # tiny t squeezes the window far outside the dense profile grid

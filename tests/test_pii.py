@@ -69,6 +69,16 @@ def test_launch_domain_validation():
         solve_right_launch_homogeneous(0.5, 5.0, -60.0, 1e-11)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+def test_launch_tolerance_validation(tol):
+    # unguarded, nan keeps the step size at nan and never ends, 0 divides
+    # by zero and a negative tol integrates anyway
+    with pytest.raises(DomainError, match="tolerance"):
+        solve_left_launch(make_params(0.0, 0.5), -40.0, 4.0, tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        solve_right_launch_homogeneous(0.5, 12.0, -60.0, tol)
+
+
 def test_two_launch_agreement_at_origin():
     # launch-data error budget: 2 * 40^{-7/4} + integration tolerance
     p = make_params(0.0, 0.5)

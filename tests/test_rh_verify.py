@@ -299,12 +299,23 @@ def test_z_matches_mpmath_reference(nu):
 
 
 def test_rh_constants_cache_is_bounded():
-    # both parametrices and m_pred read the constants at every new point of
-    # a sweep, through the one-point memo
+    # the per-pair terms of the parametrices and m_pred are formed from them
     rh_constants(P05)
     info = rh_constants.cache_info()
     assert info.maxsize == 32
     assert 1 <= info.currsize <= 32
+
+
+def test_pair_terms_cache_is_bounded_and_formed_once_per_sweep():
+    # a sweep forms each pair's terms once: one miss per pair, and a hit at
+    # each later call of t_right_parametrix and m_pred
+    assert rv._pair_terms.cache_info().maxsize == 32
+    rv._pair_terms.cache_clear()
+    pairs = [make_params(*pair) for pair in ACCEPTANCE_PAIRS]
+    for p in pairs:
+        parametrix_decay(p)
+    info = rv._pair_terms.cache_info()
+    assert (info.misses, info.hits) == (len(pairs), len(pairs) * (2 * 13 * 16 - 1))
 
 
 def test_z_parametrix_columns_share_kummer_sums(monkeypatch):
@@ -376,8 +387,19 @@ def test_z_parametrix_shared_partner_is_bit_identical(monkeypatch, w):
 
 
 def test_z_sector_boundary_guard():
-    with pytest.raises(SectorBoundaryError):
-        z_parametrix(NU05, 2.0j)
+    # on each ray and within 1e-8 of it, on either side, Z refuses; 1e-6 off
+    # it, it takes the sector on that side: sector j lies between rays j and
+    # j + 1, and the chain wraps at 7 pi/4
+    rays = [-0.25 * math.pi, 0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 1.75 * math.pi]
+    assert tuple(rays) == rv._SECTOR_RAYS
+    for j, ray in enumerate(rays):
+        for side in (-1.0, 1.0):
+            for offset in (0.0, side * 5e-9):
+                with pytest.raises(SectorBoundaryError):
+                    z_parametrix(NU05, 2.0 * cmath.exp(1j * (ray + offset)))
+            w = 2.0 * cmath.exp(1j * (ray + side * 1e-6))
+            assert rv._z_sector(w) == (j - (side < 0)) % 5
+            assert abs(np.linalg.det(z_parametrix(NU05, w)) + 1.0) < 1e-10
 
 
 def test_z_large_w_expansion_slope():
@@ -454,6 +476,22 @@ def test_t_right_matches_matrix_chain():
                 got = t_right_parametrix(p, t, z)
                 worst = max(worst, np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("pair", ACCEPTANCE_PAIRS)
+def test_parametrices_take_numpy_and_python_floats_alike(pair):
+    # the sweeps take t from np.geomspace; the result is the float t's
+    p = make_params(*pair)
+    z = 0.5 + 0.15 * cmath.exp(0.7j)
+    for t in np.geomspace(10.0, 1000.0, 5):
+        assert type(t) is np.float64
+        for f, args in ((t_right_parametrix, (z,)), (m_pred, (z, "right")),
+                        (t_left_parametrix, (-z,)), (m_pred, (-z, "left"))):
+            rv._point_terms.cache_clear()
+            got = f(p, t, *args)
+            rv._point_terms.cache_clear()
+            assert np.array_equal(got, f(p, float(t), *args))
+        assert np.array_equal(beta_fn(z, t, NU05), beta_fn(z, float(t), NU05))
 
 
 def test_sigma2_symmetry_exact():
