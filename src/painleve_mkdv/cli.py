@@ -262,10 +262,11 @@ def emit_grid(opts: dict) -> str:
     x_lo = opts.get("x_lo", -60.0)
     x_hi = opts.get("x_hi", 4.0)
     step = opts.get("step", 0.01)
-    steps = (x_hi - x_lo) / step
-    if not (0.0 < step < math.inf and -math.inf < x_lo < x_hi < math.inf and steps < math.inf):
+    # the bounds first: a zero step would make the row count a division by zero
+    if not (0.0 < step < math.inf and -math.inf < x_lo < x_hi < math.inf
+            and (x_hi - x_lo) / step < math.inf):
         raise ConfigError("grid needs finite x_lo < x_hi and step > 0, and a finite row count")
-    n = int(round(steps))
+    n = int(round((x_hi - x_lo) / step))
     xs = x_lo + step * np.arange(n + 1)
     sol = tuned_solution(p)
     v, vp = sol.v(xs)
@@ -323,6 +324,9 @@ def _resolve_options(args) -> dict:
         opts["params"] = ab_to_params(coeffs)
     else:
         opts["params"] = make_params(opts.get("alpha", 0.0), opts.get("k", 0.5))
+    # a bad cutoff is bad input: checked here, it exits as a config error
+    if "cutoff" in opts and not 20.0 <= opts["cutoff"] < math.inf:
+        raise ConfigError("cutoff must be finite and >= 20")
     # environment may override output paths only
     env_out = os.environ.get("PAINLEVE_MKDV_OUT")
     if env_out:
