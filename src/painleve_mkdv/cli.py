@@ -324,9 +324,11 @@ def _resolve_options(args) -> dict:
         opts["params"] = ab_to_params(coeffs)
     else:
         opts["params"] = make_params(opts.get("alpha", 0.0), opts.get("k", 0.5))
-    # a bad cutoff is bad input: checked here, it exits as a config error
+    # a bad cutoff or tol is bad input: checked here, it exits as a config error
     if "cutoff" in opts and not 20.0 <= opts["cutoff"] < math.inf:
         raise ConfigError("cutoff must be finite and >= 20")
+    if "tol" in opts and not 0.0 < opts["tol"] < math.inf:
+        raise ConfigError("tol must be finite and > 0")
     # environment may override output paths only
     env_out = os.environ.get("PAINLEVE_MKDV_OUT")
     if env_out:

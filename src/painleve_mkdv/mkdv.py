@@ -56,8 +56,8 @@ class SelfSimilarField:
 
     def __init__(self, params: ASParams, t: float,
                  solution: AblowitzSegurSolution | None = None):
-        if not t > 0.0:
-            raise DomainError("self-similar field requires t > 0")
+        if not 0.0 < t < math.inf:
+            raise DomainError("self-similar field requires 0 < t < inf")
         self.params = params
         self.t = float(t)
         self.solution = solution if solution is not None else tuned_solution(params)

@@ -113,7 +113,6 @@ class SolutionGrid:
 
     abscissas: np.ndarray
     states: np.ndarray
-    launch_point: float
     rejected_steps: int = 0  # accepted steps: len(abscissas) - 1
     rhs_evals: int = 0
     coefficients: np.ndarray | None = field(default=None, repr=False)
@@ -121,6 +120,10 @@ class SolutionGrid:
     @cached_property
     def _dense(self):
         return OdeSolution(self.abscissas, _Interpolants(self))
+
+    @property
+    def launch_point(self) -> float:
+        return self.abscissas.item(0)
 
     @property
     def x_min(self) -> float:
@@ -247,7 +250,7 @@ def _integrate(y0, x_start, x_end, alpha, tol):
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a nan step is never accepted or rejected
                 raise BlowupError(
                     f"integration failed near x = {x:.4g}: required step "
                     "size is less than spacing between numbers")
@@ -289,7 +292,7 @@ def _integrate(y0, x_start, x_end, alpha, tol):
     f = _dense_coefficients(t, y, stages, alpha)
     t.flags.writeable = y.flags.writeable = f.flags.writeable = False  # profiles are shared
     n = len(xs) - 1  # f: twice before the loop, 12 per attempt, 3 per interpolant
-    return SolutionGrid(t, y, float(x_start), n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, f)
+    return SolutionGrid(t, y, n_rejected, 2 + 12 * (n + n_rejected) + 3 * n, f)
 
 
 def solve_left_launch(p: ASParams, x_start: float, x_end: float,
@@ -303,9 +306,9 @@ def solve_left_launch(p: ASParams, x_start: float, x_end: float,
     turning-region amplification leaves the decaying tail at x = 4 within
     ~1e-3 (the truncation floor of ``v_pos_asym`` there) for d up to 1.5.
     """
-    if x_start > -20.0:
-        raise DomainError("left launch requires x_start <= -20")
-    if not (x_start < x_end <= 6.0):
+    if not -math.inf < x_start <= -20.0:
+        raise DomainError("left launch requires a finite x_start <= -20")
+    if not x_start < x_end <= 6.0:
         raise DomainError("left launch requires x_start < x_end <= 6")
     y0 = v_neg_launch(x_start, p, connection_constants(p))
     return _integrate(y0, x_start, x_end, p.alpha, tol)
@@ -318,12 +321,12 @@ def solve_right_launch_homogeneous(k: float, x_start: float, x_end: float,
     Seeds (v, v') = k (Ai, Ai')(x_start); only valid for |k| < 1, and only
     the homogeneous family admits this boundary characterization.
     """
-    if abs(k) >= 1.0:
+    if not abs(k) < 1.0:
         raise DomainError("right launch requires |k| < 1")
-    if x_start < 8.0:
-        raise DomainError("right launch requires x_start >= 8")
-    if x_end >= x_start:
-        raise DomainError("right launch integrates leftward: x_end < x_start")
+    if not 8.0 <= x_start < math.inf:
+        raise DomainError("right launch requires a finite x_start >= 8")
+    if not -math.inf < x_end < x_start:
+        raise DomainError("right launch integrates leftward: a finite x_end < x_start")
     ai, aip = airy_ai(x_start)
     return _integrate((k * ai, k * aip), x_start, x_end, 0.0, tol)
 

@@ -122,8 +122,8 @@ def beta_fn(z, t: float, nu: complex):
     """
     z, xm = _with_module(z)
     t = float(t)
-    if not t > 0.0:
-        raise DomainError("beta_fn requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("beta_fn requires 0 < t < inf")
     at_branch = (abs(z + 0.5) < 1e-12) | (abs(z + 1.0) < 1e-12)
     if at_branch if xm is cmath else at_branch.any():
         raise BranchCutError("beta_fn undefined at the left branch points")
@@ -157,8 +157,8 @@ def _circle_integral(f, circle: ContourCircle) -> complex:
         prev, total = total, 0.5 * total + _circle_sum(f, circle, mids, n)
         if abs(total - prev) < _CIRCLE_TOL * max(1.0, abs(total)):
             return total
-    raise QuadratureError("circle quadrature did not converge "
-                          f"(last delta at {n} nodes)")
+    raise QuadratureError("circle quadrature did not converge: successive rules "
+                          f"differ by {abs(total - prev):.3g} at {n} nodes")
 
 
 def residue_check_origin(circle: ContourCircle, nu: complex) -> complex:
@@ -186,8 +186,8 @@ def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
     about +-1/2; rhs: -i pi d t^{-1/2} cos((2/3) t - (3/4) d^2 ln t^{2/3} + phi).
     The identity is exact for every t > 0.
     """
-    if not t > 0.0:
-        raise DomainError("stationary identity requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("stationary identity requires 0 < t < inf")
     if p.degenerate:
         return 0.0 + 0.0j, 0.0 + 0.0j
     cc = connection_constants(p)
@@ -267,7 +267,7 @@ def z_parametrix(nu: complex, w: complex) -> np.ndarray:
     return np.array(_z_entries(nu, complex(w)), dtype=complex).reshape(2, 2)
 
 
-@lru_cache(maxsize=32)  # as rh_constants: as many pairs as profiles cached
+@lru_cache(maxsize=32)  # as tuned_solution: as many pairs as profiles cached
 def _pair_terms(p: ASParams) -> tuple | None:
     """(nu, a, -nu s3/h1, -h1/s3) with a = sqrt(-h1/s3): what the parametrix,
     m_pred and the stationary identity take from the pair alone.  None where
@@ -294,8 +294,8 @@ def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
     z, t = complex(z), float(t)
     if not 0.05 - 1e-12 <= abs(z - 0.5) <= 0.2 + 1e-12:
         raise DomainError("t_right_parametrix expects 0.05 <= |z - 1/2| <= 0.2")
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t_right_parametrix requires 0 < t < inf")
     pair = _pair_terms(p)
     if pair is None:
         raise DegenerateParamsError("parametrix prefactor -h1/s3 undefined where nu = 0")
@@ -324,8 +324,8 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     if side == "left":
         return SIGMA2 @ m_pred(p, t, -z, "right") @ SIGMA2
     t = float(t)
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("m_pred requires 0 < t < inf")
     pair = _pair_terms(p)
     if pair is None:
         return np.eye(2, dtype=complex)

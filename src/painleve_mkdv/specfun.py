@@ -14,10 +14,10 @@ Numerical layout:
   Gamma factors of ``pcf_d`` come from ``scipy.special.rgamma``, which is
   exactly zero at the poles.
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  Its one
-  path chooser, ``_pcf_core``, takes the even/odd Kummer series below
-  |z| = 7.6, and beyond it the large-z expansion for |arg z| <= pi/2 and the
-  reflection connection (through ``_pcf_core`` again) elsewhere.  Two regions
-  below the ring, where the series cancels, take other paths:
+  path chooser, ``_pcf_core``, reflects (through ``_pcf_core`` again) where
+  |arg z| > pi/2 and |z| >= 7.6 or Re z^2 > 6, and otherwise takes the
+  large-z expansion beyond |z| = 7.6 and the even/odd Kummer series below.
+  Two regions below the ring, where the series cancels, take other paths:
   - where D_nu is recessive (Re z > 0, Re z^2 > 0; the series loses
     e^{Re z^2/2}), the right near-real wedge Re z^2 > 6 and the band points
     below: D_{nu+1}/D_nu from its continued fraction (Gautschi, SIAM Rev. 9
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from scipy.special import airy, loggamma, rgamma
 
-from .errors import PoleError, SpecFunRangeError
+from .errors import DomainError, PoleError, SpecFunRangeError
 
 __all__ = ["airy_ai", "log_gamma", "pcf_d"]
 
@@ -60,7 +60,7 @@ def airy_ai(x: float) -> tuple[float, float]:
     x > 0, against the (1+|x|)^{-/+1/4} envelope for x <= 0."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("airy_ai requires finite x")
+        raise DomainError("airy_ai requires finite x")
     ai, aip, _, _ = airy(x)
     return float(ai), float(aip)
 
@@ -75,7 +75,7 @@ def log_gamma(z: complex) -> complex:
     """
     z = complex(z)
     if not cmath.isfinite(z):
-        raise ValueError("log_gamma requires finite z")
+        raise DomainError("log_gamma requires finite z")
     if z.imag == 0.0:
         if z.real <= 0.0 and z.real == int(z.real):
             raise PoleError(f"log_gamma pole at z = {z.real:g}")
@@ -196,11 +196,9 @@ def _pcf_connect(nu: complex, z: complex) -> tuple[complex, complex]:
     return c1 * v1 + c2 * v2, -c1 * d1 + c2 * rot * d2
 
 
-@lru_cache(maxsize=1)
-def _term_table(n_terms: int) -> tuple[tuple[float, float], ...]:
-    # per Taylor term m: 1/((m+2)(m+1)) and m+2, for a cap of n_terms
-    return tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
-                 for m in range(n_terms - 2))
+# per Taylor term m of a transport step: 1/((m+2)(m+1)) and m+2
+_TERM_TABLE = tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
+                    for m in range(_TAYLOR_TERMS - 2))
 
 
 def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
@@ -213,7 +211,6 @@ def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
     q = nu + 0.5
     h2 = h * h
     h4 = 0.25 * h2 * h2
-    table = _term_table(_TAYLOR_TERMS)
     for i in range(n_steps):
         c = i * h
         p0 = (0.25 * c * c - q) * h2
@@ -227,7 +224,7 @@ def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
         val = u + bp1
         der = bp1
         small = 0
-        for m, (inv, mp2) in enumerate(table):
+        for m, (inv, mp2) in enumerate(_TERM_TABLE):
             b_new = (p0 * bm + p1 * bm1 + h4 * bm2) * inv
             val += b_new
             der += mp2 * b_new
@@ -278,7 +275,7 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     nu = complex(nu)
     z = complex(z)
     if not (cmath.isfinite(nu) and cmath.isfinite(z)):
-        raise ValueError("pcf_d requires finite nu, z")
+        raise DomainError("pcf_d requires finite nu, z")
     r = abs(z)
     if r > _PCF_MAX_ABS:
         raise SpecFunRangeError(f"pcf_d argument |z| = {r:.3g} exceeds supported range 50")
@@ -287,20 +284,18 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
 
 @lru_cache(maxsize=2)  # a wedge point and its partner, Z's two columns
 def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
-    if abs(z) >= _PCF_ASYM_RADIUS:
-        # Past |arg z| = pi/2 the Stokes phenomenon switches on a subdominant
-        # exponential, so the reflection identity takes over: both reflected
-        # arguments keep |z| and have |arg| <= pi/2, where the expansion is complete.
-        if abs(cmath.phase(z)) <= 0.5 * math.pi:
-            return _pcf_asym(nu, z)
-        return _pcf_connect(nu, z)
-    # Below the ring the series cancels in the near-real wedge Re z^2 > 6 and
-    # in the band |Im z^2| > 18 (see the module notes).  Where D is recessive
-    # there it takes the wedge path; the left wedge (D dominant) reflects into
-    # the right wedge and the near-imaginary wedge.
+    # Past |arg z| = pi/2 the reflection identity takes over on the ring, where
+    # the Stokes phenomenon switches on a subdominant exponential, and in the
+    # left wedge Re z^2 > 6 below it, where D is dominant and the series
+    # cancels: the reflected arguments keep |z| and have |arg| <= pi/2.
     z2 = z * z
-    if z2.real > 6.0 and z.real < 0.0:
+    r = abs(z)
+    if (r >= _PCF_ASYM_RADIUS or z2.real > 6.0) and abs(cmath.phase(z)) > 0.5 * math.pi:
         return _pcf_connect(nu, z)
+    if r >= _PCF_ASYM_RADIUS:
+        return _pcf_asym(nu, z)
+    # Below the ring the series cancels in the right wedge Re z^2 > 6 and in the
+    # band |Im z^2| > 18 (module notes); where D is recessive there, the wedge path.
     if z.real > 0.0 and (z2.real > 6.0 or (z2.real > 0.0 and abs(z2.imag) > 18.0)):
         return _pcf_wedge(nu, z)
     if abs(z2.imag) > 18.0:

@@ -38,19 +38,12 @@ from painleve_mkdv.mkdv import (InitialDataCoefficients, SelfSimilarField,
                                 ab_to_params, u_hat)
 from painleve_mkdv.pii import solve_left_launch, tuned_solution
 from painleve_mkdv.stokes import make_params
-
-PAIRS = [
-    (0.0, 0.3),
-    (0.0, 0.5),
-    (0.25, 0.3),
-    (-0.3, -0.4),
-    (0.4, 0.5 * math.cos(0.4 * math.pi)),
-]
+from pairs import ACCEPTANCE_PAIRS
 
 AB = InitialDataCoefficients(1.0, 0.5)
 
 CASES = [pytest.param(suite, pair, id=f"{suite}-pair{i}")
-         for i, pair in enumerate(PAIRS) for suite in SUITES if suite != "all"]
+         for i, pair in enumerate(ACCEPTANCE_PAIRS) for suite in SUITES if suite != "all"]
 CASES.append(pytest.param("fourier-limit", AB, id="fourier-limit-ab"))
 
 
@@ -91,7 +84,7 @@ def test_suite(suite, data):
 def round_trip_runs():
     runs = {}
     start = time.perf_counter()
-    for pair in PAIRS:
+    for pair in ACCEPTANCE_PAIRS:
         p = make_params(*pair)
         grid = solve_left_launch(p, -60.0, 4.0, 1e-10)
         seam = abs(grid.evaluate(4.0)[0] - v_pos_asym(4.0, p.alpha)[0])
@@ -100,7 +93,7 @@ def round_trip_runs():
     return runs
 
 
-@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("pair", ACCEPTANCE_PAIRS)
 def test_01_connection_round_trip(round_trip_runs, pair):
     seam = round_trip_runs[pair]
     _report(f"01 round trip {pair}", seam, 5e-3)
@@ -115,7 +108,7 @@ def test_01_runtime_budget(round_trip_runs):
     assert round_trip_runs["runtime"] < 60.0
 
 
-@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("pair", ACCEPTANCE_PAIRS)
 def test_01b_round_trip_depth_adapted(pair):
     # the same round trip through the production evaluator (one launch from
     # its x_left): the connection formulas parameterize the solution that

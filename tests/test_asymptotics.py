@@ -15,6 +15,7 @@ from painleve_mkdv.errors import DomainError
 from painleve_mkdv.rh_verify import loglog_slope
 from painleve_mkdv.stokes import ConnectionConstants, connection_constants, \
     make_params
+from pairs import ACCEPTANCE_PAIRS
 
 
 def test_psi_tilde_values():
@@ -76,15 +77,6 @@ def test_v_neg_asym_derivative_matches_fd():
     fd = (v_neg_asym(x + h, p, c, True)[0] - v_neg_asym(x - h, p, c, True)[0]) / (2 * h)
     v, vp = v_neg_asym(x, p, c, True)
     assert vp == pytest.approx(fd, rel=1e-8)
-
-
-ACCEPTANCE_PAIRS = [
-    (0.0, 0.3),
-    (0.0, 0.5),
-    (0.25, 0.3),
-    (-0.3, -0.4),
-    (0.4, 0.5 * math.cos(0.4 * math.pi)),
-]
 
 
 def _oscillatory_model_mp(p, c, with_next_orders):

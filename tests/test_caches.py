@@ -1,30 +1,109 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import painleve_mkdv
 
+# every functools cache the package holds; one more needs a reason to be here
+CACHES = {
+    "painleve_mkdv.asymptotics._coefficients",
+    "painleve_mkdv.pii.tuned_solution",
+    "painleve_mkdv.rh_verify._pair_terms",
+    "painleve_mkdv.rh_verify._point_terms",
+    "painleve_mkdv.specfun._kummer_sum",
+    "painleve_mkdv.specfun._pcf_at_zero",
+    "painleve_mkdv.specfun._pcf_core",
+}
+_PRIVATE_RK = "scipy.integrate._ivp.rk"
+
 
 def _cached_callables():
-    # every functools cache at module level or on a class of the package:
-    # lru_cache and functools.cache wrappers both expose cache_info()
+    # every functools cache at module level or on a class of the package,
+    # under the name of the module that defines it: lru_cache and
+    # functools.cache wrappers both expose cache_info()
     for info in pkgutil.iter_modules(painleve_mkdv.__path__):
         module = importlib.import_module(f"painleve_mkdv.{info.name}")
-        for name, obj in vars(module).items():
-            members = [(name, obj)]
+        for obj in vars(module).values():
+            members = [obj]
             if inspect.isclass(obj) and obj.__module__ == module.__name__:
-                members += [(f"{name}.{attr}", val) for attr, val in vars(obj).items()]
-            for qualname, member in members:
+                members += vars(obj).values()
+            for member in members:
                 member = getattr(member, "__func__", member)  # static/class methods
                 if callable(member) and hasattr(member, "cache_info"):
-                    yield f"{module.__name__}.{qualname}", member
+                    yield f"{member.__module__}.{member.__qualname__}", member
+
+
+def _source_trees():
+    for path in sorted(pathlib.Path(painleve_mkdv.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _imported_names(tree) -> dict:
+    # local name -> the dotted path an import binds it to
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.partition(".")[0]
+                bound[alias.asname or root] = alias.name if alias.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bound
+
+
+def _dotted(node, bound) -> str | None:
+    # an attribute chain on an imported name, as the dotted path it reads
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not (isinstance(node, ast.Name) and node.id in bound):
+        return None
+    return ".".join([bound[node.id], *reversed(parts)])
+
+
+def _private_rk_uses(tree):
+    bound = _imported_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [_dotted(node, bound)]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]  # importlib.import_module("scipy.integrate._ivp.rk")
+        else:
+            continue
+        if any(name is not None and (name == _PRIVATE_RK or name.startswith(_PRIVATE_RK + "."))
+               for name in names):
+            yield node.lineno
 
 
 def test_module_caches_are_bounded():
     # a cache without an integer maxsize (functools.cache, or lru_cache with
     # maxsize=None) grows with every distinct argument for the process's life
     found = dict(_cached_callables())
-    assert "painleve_mkdv.stokes.rh_constants" in found
+    assert set(found) == CACHES
     unbounded = [name for name, fn in found.items()
                  if not isinstance(fn.cache_info().maxsize, int)]
     assert unbounded == []
+
+
+def test_no_private_scipy_interpolant_import():
+    # the dense output is the stacked store in pii, not scipy's private
+    # per-step interpolant classes
+    uses = [(name, line) for name, tree in _source_trees()
+            for line in _private_rk_uses(tree)]
+    assert uses == []
+
+
+def test_no_global_statement():
+    # module state lives in a bounded functools.lru_cache, which the cache
+    # test above sees, not in names a function rebinds
+    rebinds = [(name, node.lineno) for name, tree in _source_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert rebinds == []

@@ -14,6 +14,7 @@ from painleve_mkdv.errors import ConfigError
 from painleve_mkdv.mkdv import InitialDataCoefficients, ab_to_params
 from painleve_mkdv.pii import AblowitzSegurSolution, tuned_solution
 from painleve_mkdv.stokes import make_params
+from pairs import ACCEPTANCE_PAIRS
 
 
 def test_specfun_suite_passes(tmp_path, capsys):
@@ -80,6 +81,17 @@ def test_bad_cutoff_is_a_config_error(tmp_path, capsys, cutoff):
     out = tmp_path / "rep.jsonl"
     assert main(["total-integral", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert "cutoff" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_bad_tol_is_a_config_error(tmp_path, capsys, tol):
+    # unchecked, nan fails the check and writes "tol": NaN, which is not
+    # JSON; 0 and -1 fail it; inf passes it whatever the error
+    out = tmp_path / "rep.jsonl"
+    assert main(["total-integral", "--alpha", "0", "--k", "0.5", f"--tol={tol}",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "tol" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -240,8 +252,7 @@ def _launch_expansion(p):
                 if r.check_id == "connection.launch_expansion")
 
 
-@pytest.mark.parametrize("alpha,k", [(0.0, 0.3), (0.0, 0.5), (0.25, 0.3), (-0.3, -0.4),
-                                     (0.4, 0.5 * math.cos(0.4 * math.pi))])
+@pytest.mark.parametrize("alpha,k", ACCEPTANCE_PAIRS)
 def test_launch_expansion_catches_a_missing_order(monkeypatch, alpha, k):
     # a profile launched with F_2, the s^{-7/4} order, zeroed misses the
     # expansion by over 1e3 times the bound

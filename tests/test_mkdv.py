@@ -28,8 +28,10 @@ def test_ab_to_params_values():
 
 
 def test_field_requires_positive_time():
-    with pytest.raises(DomainError):
-        SelfSimilarField(make_params(0.0, 0.5), 0.0)
+    # an infinite time would read both PDE residuals as 0.0
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="0 < t < inf"):
+            SelfSimilarField(make_params(0.0, 0.5), t)
 
 
 def test_u_at_special_time(sol_0_05):

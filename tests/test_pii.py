@@ -67,6 +67,20 @@ def test_launch_domain_validation():
         solve_right_launch_homogeneous(1.2, 12.0, -60.0, 1e-11)
     with pytest.raises(DomainError, match="x_start >= 8"):
         solve_right_launch_homogeneous(0.5, 5.0, -60.0, 1e-11)
+    # unguarded, x_start = -inf and k = nan never return (a nan step size is
+    # neither accepted nor rejected), a right launch to x_end = nan returns
+    # a one-node grid, and the others fail deep in the solve
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="x_start"):
+            solve_left_launch(p, bad, 4.0, 1e-10)
+        with pytest.raises(DomainError, match="x_end"):
+            solve_left_launch(p, -40.0, bad, 1e-10)
+        with pytest.raises(DomainError, match=r"\|k\| < 1"):
+            solve_right_launch_homogeneous(bad, 12.0, -60.0, 1e-10)
+        with pytest.raises(DomainError, match="x_start"):
+            solve_right_launch_homogeneous(0.5, bad, -60.0, 1e-10)
+        with pytest.raises(DomainError, match="x_end"):
+            solve_right_launch_homogeneous(0.5, 12.0, bad, 1e-10)
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
@@ -162,7 +176,7 @@ def _model_grid(d, phi, alpha):
     xs = np.arange(-60.0, -20.0, _max_step_for((-60.0, 4.0)))
     states = np.column_stack(v_neg_launch(xs, ASParams(alpha, 0.0),
                                           ConnectionConstants(d, phi)))
-    return pii.SolutionGrid(xs, states, -60.0)
+    return pii.SolutionGrid(xs, states)
 
 
 def test_fit_oscillation_round_trip():

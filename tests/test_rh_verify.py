@@ -12,7 +12,8 @@ import pytest
 import painleve_mkdv.rh_verify as rv
 import painleve_mkdv.specfun as sf
 from painleve_mkdv.errors import (BranchCutError, DegenerateParamsError,
-                                  DomainError, SectorBoundaryError)
+                                  DomainError, QuadratureError,
+                                  SectorBoundaryError)
 from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn,
                                      loglog_slope, m_pred, n_matrix,
                                      parametrix_decay, phase_maps,
@@ -21,12 +22,11 @@ from painleve_mkdv.rh_verify import (SIGMA2, ContourCircle, beta_fn,
                                      t_right_parametrix, z_parametrix)
 from painleve_mkdv.stokes import (ASParams, h_factors, make_params,
                                   rh_constants, stokes_triple)
+from pairs import ACCEPTANCE_PAIRS
 
 P05 = make_params(0.0, 0.5)
 P253 = make_params(0.25, 0.3)
 NU05 = rh_constants(P05).nu
-ACCEPTANCE_PAIRS = [(0.0, 0.3), (0.0, 0.5), (0.25, 0.3), (-0.3, -0.4),
-                    (0.4, 0.5 * math.cos(0.4 * math.pi))]
 
 
 def _ring_points(n):
@@ -193,6 +193,25 @@ def test_circle_quadrature_evaluates_each_node_once():
     assert len(np.unique(np.round(nodes, 12))) == 512
 
 
+def test_circle_quadrature_reports_what_did_not_converge():
+    # a pole 1.5e-5 inside the circle is more than 16384 nodes resolve
+    with pytest.raises(QuadratureError, match=r"differ by \S+ at 16384 nodes"):
+        rv._circle_integral(lambda zs: 1.0 / (zs - (0.5 + 0.15 * 0.9999)),
+                            ContourCircle(0.5, 0.15))
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_time_must_be_finite_and_positive(t):
+    # unguarded, t = inf gives nan from beta_fn and m_pred, a bare math
+    # domain error from t_right_parametrix, and a QuadratureError from
+    # stationary_identity after doubling to 16384 nodes
+    z = 0.5 + 0.15j
+    for evaluate in (lambda: beta_fn(z, t, NU05), lambda: t_right_parametrix(P05, t, z),
+                     lambda: m_pred(P05, t, z), lambda: stationary_identity(P05, t)):
+        with pytest.raises(DomainError, match="0 < t < inf"):
+            evaluate()
+
+
 # stationary identity ---------------------------------------------------------
 
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
@@ -296,14 +315,6 @@ def test_z_matches_mpmath_reference(nu):
                 err = np.max(np.abs(z_parametrix(nu, w) - ref))
                 worst = max(worst, err / np.max(np.abs(ref)))
     assert worst <= 5e-11
-
-
-def test_rh_constants_cache_is_bounded():
-    # the per-pair terms of the parametrices and m_pred are formed from them
-    rh_constants(P05)
-    info = rh_constants.cache_info()
-    assert info.maxsize == 32
-    assert 1 <= info.currsize <= 32
 
 
 def test_pair_terms_cache_is_bounded_and_formed_once_per_sweep():

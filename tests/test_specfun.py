@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import painleve_mkdv.specfun as sf
-from painleve_mkdv.errors import PoleError, SpecFunRangeError
+from painleve_mkdv.errors import DomainError, PoleError, SpecFunRangeError
 from painleve_mkdv.specfun import airy_ai, log_gamma, pcf_d
 
 # (x, Ai(x), Ai'(x)) at 17 significant digits
@@ -64,13 +64,15 @@ def test_airy_asymptotic_envelope():
 
 
 def test_airy_rejects_nan():
-    with pytest.raises(ValueError):
-        airy_ai(float("nan"))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            airy_ai(x)
 
 
 def test_log_gamma_rejects_nan():
-    with pytest.raises(ValueError):
-        log_gamma(complex("nan"))
+    for z in (complex("nan"), complex(math.inf, 0.0), complex(1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            log_gamma(z)
 
 
 # log-Gamma ------------------------------------------------------------------
@@ -205,8 +207,9 @@ def test_pcf_recurrences(nu):
 def test_pcf_range_guard():
     with pytest.raises(SpecFunRangeError):
         pcf_d(0.3, 60.0)
-    with pytest.raises(ValueError):
-        pcf_d(complex("nan"), 1.0)
+    for nu, z in ((complex("nan"), 1.0), (0.3, math.inf), (0.3, complex(0.0, -math.inf))):
+        with pytest.raises(DomainError):
+            pcf_d(nu, z)
 
 
 # The cancellation band |Im z^2| > 18, Re z^2 <= 6, |z| < 7.6: the terms of
