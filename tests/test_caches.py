@@ -40,46 +40,17 @@ def _source_trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _imported_names(tree) -> dict:
-    # local name -> the dotted path an import binds it to
-    bound = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.partition(".")[0]
-                bound[alias.asname or root] = alias.name if alias.asname else root
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return bound
-
-
-def _dotted(node, bound) -> str | None:
-    # an attribute chain on an imported name, as the dotted path it reads
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not (isinstance(node, ast.Name) and node.id in bound):
-        return None
-    return ".".join([bound[node.id], *reversed(parts)])
-
-
 def _private_rk_uses(tree):
-    bound = _imported_names(tree)
+    # every import form, aliased and multi-line included, is an Import or an
+    # ImportFrom node whose dotted names start with the private module
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Attribute):
-            names = [_dotted(node, bound)]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [node.value]  # importlib.import_module("scipy.integrate._ivp.rk")
         else:
             continue
-        if any(name is not None and (name == _PRIVATE_RK or name.startswith(_PRIVATE_RK + "."))
-               for name in names):
+        if any(name == _PRIVATE_RK or name.startswith(_PRIVATE_RK + ".") for name in names):
             yield node.lineno
 
 

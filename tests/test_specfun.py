@@ -290,7 +290,10 @@ def test_pcf_band_transport_stops_before_its_cap(monkeypatch):
     # own stopping test: raising the coefficient cap changes no bit
     args = _orders_in_turn(_band_points(13, 60))
     capped = [pcf_d(nu, z) for nu, z in args]
-    monkeypatch.setattr(sf, "_TAYLOR_TERMS", 4 * sf._TAYLOR_TERMS)
+    longer = tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
+                   for m in range(4 * sf._TAYLOR_TERMS - 2))
+    assert longer[:len(sf._TERM_TABLE)] == sf._TERM_TABLE
+    monkeypatch.setattr(sf, "_TERM_TABLE", longer)
     sf._pcf_core.cache_clear()
     assert [pcf_d(nu, z) for nu, z in args] == capped
 
