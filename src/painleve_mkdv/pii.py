@@ -406,8 +406,10 @@ class AblowitzSegurSolution:
         self.seam_jump = abs(v_grid - v_pos_asym(self.x_match, params.alpha)[0])
 
     def v(self, x):
-        """Return (v, v') at x (scalar or array)."""
+        """Return (v, v') at x (scalar or array of finite values)."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if not (np.abs(x_arr) < math.inf).all():
+            raise DomainError("profile evaluation requires finite x")
         v = np.empty_like(x_arr)
         vp = np.empty_like(x_arr)
         left, right = x_arr < self.x_left, x_arr > self.x_match

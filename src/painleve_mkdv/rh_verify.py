@@ -132,7 +132,7 @@ def beta_fn(z, t: float, nu: complex):
     return xm.exp(nu * log_base)
 
 
-_CIRCLE_NODES, _CIRCLE_MAX_NODES, _CIRCLE_TOL = 256, 16384, 1e-10
+_CIRCLE_NODES, _CIRCLE_MAX_NODES, _CIRCLE_TOL = 64, 16384, 1e-10
 
 
 def _circle_sum(f, circle: ContourCircle, theta: np.ndarray, n: int) -> complex:

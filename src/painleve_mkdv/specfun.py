@@ -30,9 +30,13 @@ Numerical layout:
     terms in a row fall below 1e-18 of the value (8 terms at least).
   Both read at most 1.0e-12 relative to 30-digit mpmath in D and D' (320
   seeded wedge and 120 band points at 11 orders, |nu| <= 2).
+* The series sums its even and odd Kummer sums, which share w = z^2/2, in
+  one loop, and the expansion its terms; the factors that depend on the term
+  index alone come from tables built at import.  Each term keeps one fixed
+  order of operations, so the tables change no bit of D_nu.
 * ``_pcf_core`` keeps its last two points: the wedge path's partner is the
   other column of the parametrix matrix Z, so a Z point evaluates each
-  column once.  The last two Kummer sums are cached as well: by Kummer's
+  column once.  The last pair of Kummer sums is cached as well: by Kummer's
   transformation M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and
   D_nu(+-w) share their two sums, so Z's second column reuses the first
   column's whenever both take the series path.  The seeds
@@ -94,40 +98,56 @@ _BAND_STEP = 1.0
 _CF_TERMS = 128  # continued-fraction terms; 78 seen on |nu| <= 2.3
 
 
-def _kummer(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
-    """Confluent hypergeometric M(a, c, w) and dM/dw by direct summation.
+# per Kummer term k: the denominators (c + k)(k + 1) of the even (c = 1/2)
+# and odd (c = 3/2) sums, and the weight k + 1 of dM/dw
+_KUMMER_TABLE = tuple(((0.5 + k) * (k + 1.0), (1.5 + k) * (k + 1.0), k + 1.0)
+                      for k in range(600))
+
+
+def _kummer_pair(nu: complex, w: complex) -> tuple[complex, ...]:
+    """(M(a, 1/2, w), dM/dw, M(b, 3/2, w), dM/dw) with a = -nu/2 and
+    b = (1 - nu)/2: the even and odd sums of D_nu at w = z^2/2.
 
     Arguments with Re w < 0 are routed through M(a,c,w) = e^w M(c-a, c, -w)
     so the summed series never alternates in its dominant scale.
     """
+    a, b = -0.5 * nu, 0.5 * (1.0 - nu)
     if w == 0:
-        return 1.0 + 0.0j, a / c
+        return 1.0 + 0.0j, a / 0.5, 1.0 + 0.0j, b / 1.5
     if w.real < 0.0:
-        m, dm = _kummer_sum(c - a, c, -w)
+        m1, dm1, m2, dm2 = _kummer_sums(0.5 - a, 1.5 - b, -w)
         ew = cmath.exp(w)
-        return ew * m, ew * (m - dm)
-    return _kummer_sum(a, c, w)
+        return ew * m1, ew * (m1 - dm1), ew * m2, ew * (m2 - dm2)
+    return _kummer_sums(a, b, w)
 
 
 # The two columns of the parabolic-cylinder parametrix evaluate D_{-nu-1}(+-iw)
-# and D_nu(+-w); the Kummer reflection above maps the first column's two sums
-# onto exactly the second's (c - a gives -nu/2 and (1 - nu)/2), bit for bit
-# when nu is purely imaginary, so the last pcf_d call's pair is kept.
-@lru_cache(maxsize=2)
-def _kummer_sum(a: complex, c: complex, w: complex) -> tuple[complex, complex]:
-    """M(a, c, w) and dM/dw for Re w >= 0 and |Im w| <= 9.  A larger
-    imaginary part oscillates (cancellation ~ e^{|Im w|}); ``pcf_d`` then
-    transports from z = 0 instead of summing."""
-    term = 1.0 + 0.0j
-    total = term
-    weighted = 0.0 + 0.0j  # sum of k * term_k
-    for k in range(0, 600):
-        term = term * w * (a + k) / ((c + k) * (k + 1.0))
-        total += term
-        weighted += (k + 1.0) * term
-        if k > 3 and abs(term) < 1e-17 * (abs(total) + 1e-300):
+# and D_nu(+-w); the Kummer reflection above maps the first column's pair of
+# sums onto exactly the second's (c - a gives -nu/2 and (1 - nu)/2), bit for
+# bit when nu is purely imaginary, so the last pcf_d call's pair is kept.
+@lru_cache(maxsize=1)
+def _kummer_sums(a: complex, b: complex, w: complex) -> tuple[complex, ...]:
+    """M(a, 1/2, w), dM/dw, M(b, 3/2, w), dM/dw for Re w >= 0 and
+    |Im w| <= 9, each sum stopping on its own test.  A larger imaginary part
+    oscillates (cancellation ~ e^{|Im w|}); ``pcf_d`` then transports from
+    z = 0 instead of summing."""
+    term1 = term2 = total1 = total2 = 1.0 + 0.0j
+    weighted1 = weighted2 = 0.0 + 0.0j  # sums of k * term_k
+    done1 = done2 = False
+    for k, (den1, den2, k1) in enumerate(_KUMMER_TABLE):
+        if not done1:
+            term1 = term1 * w * (a + k) / den1
+            total1 += term1
+            weighted1 += k1 * term1
+            done1 = k > 3 and abs(term1) < 1e-17 * (abs(total1) + 1e-300)
+        if not done2:
+            term2 = term2 * w * (b + k) / den2
+            total2 += term2
+            weighted2 += k1 * term2
+            done2 = k > 3 and abs(term2) < 1e-17 * (abs(total2) + 1e-300)
+        if done1 and done2:
             break
-    return total, weighted / w
+    return total1, weighted1 / w, total2, weighted2 / w
 
 
 @lru_cache(maxsize=2)  # the orders nu and -nu-1 of a parametrix sweep
@@ -142,8 +162,7 @@ def _pcf_at_zero(nu: complex) -> tuple[complex, complex]:
 
 def _pcf_series(nu: complex, z: complex) -> tuple[complex, complex]:
     w = 0.5 * z * z
-    s1, ds1 = _kummer(-0.5 * nu, 0.5, w)
-    s2, ds2 = _kummer(0.5 * (1.0 - nu), 1.5, w)
+    s1, ds1, s2, ds2 = _kummer_pair(nu, w)
     a_coef, b_coef = _pcf_at_zero(nu)
     env = cmath.exp(-0.5 * w)
     even = a_coef * s1
@@ -154,20 +173,26 @@ def _pcf_series(nu: complex, z: complex) -> tuple[complex, complex]:
     return value, deriv
 
 
+# per asymptotic term s: 2s, the denominator 2(s + 1), and the weight s + 1
+_ASYM_TABLE = tuple((2.0 * s, 2.0 * (s + 1.0), s + 1.0) for s in range(40))
+
+
 def _pcf_asym(nu: complex, z: complex) -> tuple[complex, complex]:
     # e^{-z^2/4} z^nu sum_s (-1)^s (-nu)_{2s} / (s! 2^s z^{2s}),  |arg z| < 3pi/4
     inv_z2 = 1.0 / (z * z)
+    minus_nu = -nu
     term = 1.0 + 0.0j
     total = term
     weighted = 0.0 + 0.0j
     prev = math.inf
-    for s in range(0, 40):
-        term = -term * (-nu + 2.0 * s) * (-nu + 2.0 * s + 1.0) * inv_z2 / (2.0 * (s + 1.0))
+    for two_s, den, s1 in _ASYM_TABLE:
+        rising = minus_nu + two_s
+        term = -term * rising * (rising + 1.0) * inv_z2 / den
         mag = abs(term)
         if mag > prev:
             break
         total += term
-        weighted += (s + 1.0) * term
+        weighted += s1 * term
         prev = mag
         if mag < 1e-18 * abs(total):
             break

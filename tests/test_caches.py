@@ -12,7 +12,7 @@ CACHES = {
     "painleve_mkdv.pii.tuned_solution",
     "painleve_mkdv.rh_verify._pair_terms",
     "painleve_mkdv.rh_verify._point_terms",
-    "painleve_mkdv.specfun._kummer_sum",
+    "painleve_mkdv.specfun._kummer_sums",
     "painleve_mkdv.specfun._pcf_at_zero",
     "painleve_mkdv.specfun._pcf_core",
 }

@@ -34,6 +34,17 @@ def test_field_requires_positive_time():
             SelfSimilarField(make_params(0.0, 0.5), t)
 
 
+def test_profile_rejects_non_finite_x(sol_0_05):
+    # unguarded, nan gave (nan, nan), -inf nan with a RuntimeWarning from the
+    # launch model and inf (0.0, -0.0)
+    for x in (math.nan, math.inf, -math.inf, np.array([-3.0, math.nan, 2.0])):
+        with pytest.raises(DomainError, match="finite x"):
+            sol_0_05.v(x)
+    field = SelfSimilarField(sol_0_05.params, 1.0, solution=sol_0_05)
+    with pytest.raises(DomainError, match="finite x"):
+        field.u(math.nan)
+
+
 def test_u_at_special_time(sol_0_05):
     # (3t) = 1 makes u(t, x) = -2 v(x) exactly
     field = SelfSimilarField(sol_0_05.params, 1.0 / 3.0, solution=sol_0_05)

@@ -179,7 +179,7 @@ def test_residue_nu_zero():
 
 def test_circle_quadrature_evaluates_each_node_once():
     # the doubled rules are nested: 1/z converges at the second rule, and the
-    # integrand sees that rule's 512 nodes once each, not 256 + 512
+    # integrand sees that rule's nodes once each, not those of both rules
     seen = []
 
     def f(zs):
@@ -189,8 +189,8 @@ def test_circle_quadrature_evaluates_each_node_once():
     val = rv._circle_integral(f, ContourCircle(0.0, 0.1))
     assert abs(val + 2j * math.pi) < 1e-12
     nodes = np.concatenate(seen)
-    assert len(nodes) == 512
-    assert len(np.unique(np.round(nodes, 12))) == 512
+    assert len(nodes) == 2 * rv._CIRCLE_NODES
+    assert len(np.unique(np.round(nodes, 12))) == 2 * rv._CIRCLE_NODES
 
 
 def test_circle_quadrature_reports_what_did_not_converge():
@@ -198,6 +198,28 @@ def test_circle_quadrature_reports_what_did_not_converge():
     with pytest.raises(QuadratureError, match=r"differ by \S+ at 16384 nodes"):
         rv._circle_integral(lambda zs: 1.0 / (zs - (0.5 + 0.15 * 0.9999)),
                             ContourCircle(0.5, 0.15))
+
+
+def _fixed_rule(f, circle, n=4096):
+    return rv._circle_sum(f, circle, 2.0 * math.pi * np.arange(n) / n, n)
+
+
+# |alpha| -> 1/2: d = 2.27, nu = -2.57i
+@pytest.mark.parametrize("pair", ACCEPTANCE_PAIRS + [(0.4999, 0.0)])
+def test_circle_integrals_match_a_fixed_fine_rule(pair, monkeypatch):
+    # the doubling from _CIRCLE_NODES stops once two rules agree to 1e-10;
+    # what it returns agrees with one fixed 4096-node rule to 1e-13
+    p = make_params(*pair)
+    nu = rh_constants(p).nu
+
+    def values():
+        return ([residue_check_origin(ContourCircle(0.0, r), nu) for r in (0.05, 0.1, 0.2)]
+                + [stationary_identity(p, t)[0] for t in (20.0, 50.0, 100.0, 1000.0)])
+
+    doubled = values()
+    monkeypatch.setattr(rv, "_circle_integral", _fixed_rule)
+    for got, want in zip(doubled, values()):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
@@ -331,16 +353,18 @@ def test_pair_terms_cache_is_bounded_and_formed_once_per_sweep():
 
 def test_z_parametrix_columns_share_kummer_sums(monkeypatch):
     # at |Re w^2| <= 6, |w| < 7.6 both columns of Z take the series path, and
-    # the Kummer reflection maps the growing column's two sums onto the
-    # recessive column's: the second pcf_d call finds both in the cache
-    assert sf._kummer_sum.cache_info().maxsize == 2
+    # the Kummer reflection maps the growing column's pair of sums onto the
+    # recessive column's: the second pcf_d call finds the pair in the cache
+    assert sf._kummer_sums.cache_info().maxsize == 1
     nu = -0.5j
     w = 1.2 * cmath.exp(1j * (0.25 * math.pi + 0.11))
     assert abs((w * w).real) <= 6.0
-    sf._kummer_sum.cache_clear()
+    sf._pcf_core.cache_clear()
+    sf._kummer_sums.cache_clear()
     cached = z_parametrix(nu, w)
-    assert sf._kummer_sum.cache_info().hits == 2
-    monkeypatch.setattr(sf, "_kummer_sum", sf._kummer_sum.__wrapped__)
+    info = sf._kummer_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    monkeypatch.setattr(sf, "_kummer_sums", sf._kummer_sums.__wrapped__)
     assert np.array_equal(z_parametrix(nu, w), cached)
 
 
