@@ -32,7 +32,7 @@ from .pii import solve_right_launch_homogeneous, fit_oscillation, tuned_solution
 from .rh_verify import (ContourCircle, loglog_slope, parametrix_decay,
                         residue_check_origin, stationary_identity)
 from .specfun import airy_ai, log_gamma, pcf_d
-from .stokes import make_params, rh_constants, stokes_triple
+from .stokes import g_factor, make_params, rh_constants, stokes_triple
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -216,7 +216,7 @@ def _suite_rh(opts) -> Iterator[tuple]:
     worst = max(abs(lhs - rhs) for lhs, rhs in
                 (stationary_identity(p, t) for t in (20.0, 50.0, 100.0)))
     yield "rh.stationary_identity", worst, 0.0, 1e-6
-    prod = rc.h0 * rc.h1 * (1.0 - st.s1 * st.s3) - st.s1 * st.s3
+    prod = rc.h0 * rc.h1 * g_factor(p) - st.s1 * st.s3
     yield "rh.h0h1_identity", prod, 0.0, 1e-12
     if not p.degenerate:
         # the fitted decay over t = 10 .. 1000; its order depends only on d

@@ -4,6 +4,10 @@ residue identity, the stationary-point contour identity reproducing the
 oscillatory tail, and the parabolic-cylinder local parametrices with their
 first-order predictions and the log-log fit of their observed decay order.
 
+The stationary identity integrates m_pred's own first-order terms
+(``_f_terms``), so it certifies what the parametrix decay is measured
+against.  Points z and orders nu must be finite (``DomainError``).
+
 Conventions fixed here and used throughout:
 
 * contour circles are traversed clockwise (the residue identity evaluates
@@ -73,24 +77,33 @@ class ContourCircle:
             raise DomainError("radius must lie in (0, 1/4)")
 
 
+def _finite(x, name: str):
+    if not cmath.isfinite(x):
+        raise DomainError(f"{name} must be finite")
+    return x
+
+
 def _with_module(z):
     """(z, cmath) for a scalar, (z as a complex array, numpy) for an array,
-    so each formula below is written once for both."""
+    so each formula below is written once for both; z must be finite."""
     if isinstance(z, np.ndarray):
-        return z.astype(complex, copy=False), np
-    return complex(z), cmath
+        z = z.astype(complex, copy=False)
+        if not np.isfinite(z).all():
+            raise DomainError("z must be finite")
+        return z, np
+    return _finite(complex(z), "z"), cmath
 
 
 def phase_maps(z):
-    """theta_tilde = i(4z^3/3 - z), eta = i*theta_tilde = z - 4z^3/3, and
-    zeta = (4 sqrt(3)/3) e^{3 pi i/4} (z - 1/2) sqrt(z + 1) (principal root).
+    """eta = z - 4z^3/3, theta_tilde = -i eta = i(4z^3/3 - z), and
+    zeta = (4 sqrt(3)/3) e^{3 pi i/4} (z - 1/2) sqrt(z + 1) (principal root),
+    returned as (theta_tilde, eta, zeta).
 
     zeta solves zeta^2 = -4(theta_tilde(z) - theta_tilde(1/2)).  Takes a
     complex scalar or an array, elementwise.  Warns when z sits within 1e-9
     of the sqrt branch cut (-inf, -1].
     """
     z, xm = _with_module(z)
-    theta = 1j * (4.0 * z ** 3 / 3.0 - z)
     eta = z - 4.0 * z ** 3 / 3.0
     w = z + 1.0
     near_cut = (abs(w.imag) < 1e-9) & (w.real <= 0.0)
@@ -98,12 +111,13 @@ def phase_maps(z):
         warnings.warn("zeta evaluated within 1e-9 of its branch cut (-inf, -1]",
                       stacklevel=2)
     zeta = _ZETA_FACTOR * (z - 0.5) * xm.sqrt(w)
-    return theta, eta, zeta
+    return -1j * eta, eta, zeta
 
 
 def n_matrix(z: complex, nu: complex) -> np.ndarray:
     """Diagonal matrix ((z+1/2)/(z-1/2))^{nu sigma3}, cut on [-1/2, 1/2]."""
-    z = complex(z)
+    z = _finite(complex(z), "z")
+    _finite(nu, "nu")
     if abs(z.imag) <= 1e-12 and -0.5 - 1e-12 <= z.real <= 0.5 + 1e-12:
         raise BranchCutError("n_matrix undefined on the segment [-1/2, 1/2]")
     ratio = (z + 0.5) / (z - 0.5)
@@ -121,6 +135,7 @@ def beta_fn(z, t: float, nu: complex):
     Takes a complex scalar or an array, elementwise.
     """
     z, xm = _with_module(z)
+    _finite(nu, "nu")
     t = float(t)
     if not 0.0 < t < math.inf:
         raise DomainError("beta_fn requires 0 < t < inf")
@@ -166,24 +181,34 @@ def residue_check_origin(circle: ContourCircle, nu: complex) -> complex:
     E11 = ((z+1/2)/(1/2-z))^nu; equals -2 pi i for every nu."""
     if circle.center != 0:
         raise DomainError("residue check runs on a circle about the origin")
+    _finite(nu, "nu")
 
     def integrand(zs):
         e11 = np.exp(nu * (np.log(zs + 0.5) - np.log(0.5 - zs)))
-        eta = zs - 4.0 * zs ** 3 / 3.0
-        return e11 ** 2 / eta
+        return e11 ** 2 / phase_maps(zs)[1]
 
     return _circle_integral(integrand, circle)
 
 
-# the circles about +1/2 and -1/2 of the stationary-point identity
-_STATIONARY_CIRCLES = (ContourCircle(0.5, 0.15), ContourCircle(-0.5, 0.15))
+# the circle about +1/2 of the stationary-point identity
+_STATIONARY_CIRCLE = ContourCircle(0.5, 0.15)
+
+
+def _f_terms(c12: complex, c21: complex, t: float, beta, zeta):
+    """The off-diagonal first-order terms (F12, F21) = (c12 e^{2it/3} beta^2,
+    c21 e^{-2it/3} beta^{-2}) / zeta of m_pred, at a point or elementwise."""
+    osc = cmath.exp(2j * t / 3.0)
+    return c12 * osc * beta ** 2 / zeta, c21 / osc * beta ** -2 / zeta
 
 
 def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
     """Both sides of the stationary-point contour identity.
 
-    lhs: the weighted clockwise integrals of beta^{+-2}/zeta over the circles
-    about +-1/2; rhs: -i pi d t^{-1/2} cos((2/3) t - (3/4) d^2 ln t^{2/3} + phi).
+    lhs: t^{-1/2} times the clockwise integral of F12 + F21, m_pred's own
+    off-diagonal terms, over the circle about +1/2.  It stands for the sum
+    over the circles about +-1/2: under z -> -z, which keeps the orientation,
+    the term about -1/2 is the F21 part of this one.
+    rhs: -i pi d t^{-1/2} cos((2/3) t - (3/4) d^2 ln t^{2/3} + phi).
     The identity is exact for every t > 0.
     """
     if not 0.0 < t < math.inf:
@@ -193,17 +218,11 @@ def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
     cc = connection_constants(p)
     nu, _, c12, c21 = _pair_terms(p)
 
-    def f_plus(zs):
-        return beta_fn(zs, t, nu) ** 2 / phase_maps(zs)[2]
+    def f(zs):
+        f12, f21 = _f_terms(c12, c21, t, beta_fn(zs, t, nu), phase_maps(zs)[2])
+        return f12 + f21
 
-    def f_minus(zs):
-        return beta_fn(-zs, t, nu) ** -2 / phase_maps(-zs)[2]
-
-    c_plus, c_minus = _STATIONARY_CIRCLES
-    i_plus = _circle_integral(f_plus, c_plus)
-    i_minus = _circle_integral(f_minus, c_minus)
-    lhs = (t ** -0.5 * c12 * cmath.exp(2j * t / 3.0) * i_plus
-           - t ** -0.5 * c21 * cmath.exp(-2j * t / 3.0) * i_minus)
+    lhs = t ** -0.5 * _circle_integral(f, _STATIONARY_CIRCLE)
     phase = (2.0 / 3.0) * t - 0.75 * cc.d ** 2 * math.log(t ** (2.0 / 3.0)) + cc.phi
     rhs = -1j * math.pi * cc.d * t ** -0.5 * math.cos(phase)
     return lhs, rhs
@@ -320,7 +339,7 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     sigma2, about -1/2 (side='left')."""
     if side not in ("right", "left"):
         raise DomainError("side must be 'right' or 'left'")
-    z = complex(z)
+    z = _finite(complex(z), "z")
     if side == "left":
         return SIGMA2 @ m_pred(p, t, -z, "right") @ SIGMA2
     t = float(t)
@@ -331,9 +350,7 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
         return np.eye(2, dtype=complex)
     nu, _, c12, c21 = pair
     (_, _, zeta), beta = _point_terms(nu, t, z)
-    osc = cmath.exp(2j * t / 3.0)
-    f12 = c12 * osc * beta ** 2 / zeta
-    f21 = c21 / osc * beta ** -2 / zeta
+    f12, f21 = _f_terms(c12, c21, t, beta, zeta)
     two_zeta2 = 2.0 * zeta ** 2
     g11 = nu * (nu + 1.0) / two_zeta2
     g22 = -nu * (nu - 1.0) / two_zeta2

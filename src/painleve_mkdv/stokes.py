@@ -23,6 +23,7 @@ __all__ = [
     "connection_constants",
     "rh_constants",
     "h_factors",
+    "g_factor",
     "reduce_angle",
 ]
 
@@ -110,15 +111,21 @@ def stokes_triple(p: ASParams) -> StokesTriple:
     return StokesTriple(complex(-s, -p.k), 0.0 + 0.0j, complex(-s, p.k))
 
 
-def _d_squared(p: ASParams) -> float:
-    """d^2 = -ln(cos^2(pi alpha) - k^2) / pi."""
-    # g = cos^2(pi alpha) - k^2 = 1 - s1*s3: near the edge (c - k)(c + k) keeps
-    # its digits and is > 0 wherever make_params accepts k (same c); near (0, 0)
-    # g rounds towards 1 and ln g loses d^2, so there log1p takes s1*s3 itself
+def g_factor(p: ASParams) -> float:
+    """g = cos^2(pi alpha) - k^2 = 1 - s1 s3, as (c - |k|)(c + |k|) with
+    c = cos(pi alpha): near the edge it keeps the digits that 1 - s1 s3
+    cancels, and it is > 0 wherever ``make_params`` accepts k (same c)."""
     c, k = _edge_cosine(p.alpha), abs(p.k)
-    g = (c - k) * (c + k)
+    return (c - k) * (c + k)
+
+
+def _d_squared(p: ASParams) -> float:
+    """d^2 = -ln g / pi with g = ``g_factor(p)``."""
+    # near (0, 0) g rounds towards 1 and ln g loses d^2, so there log1p takes
+    # s1*s3 = sin^2(pi alpha) + k^2 itself
+    g = g_factor(p)
     if g > 0.5:
-        return -math.log1p(-(math.sin(math.pi * p.alpha) ** 2 + k * k)) / math.pi
+        return -math.log1p(-(math.sin(math.pi * p.alpha) ** 2 + p.k * p.k)) / math.pi
     return -math.log(g) / math.pi
 
 

@@ -194,6 +194,17 @@ def test_rh_checks_suite_passes(tmp_path, alpha, k):
     assert main(argv) == EXIT_OK
 
 
+# |alpha| -> 1/2 and |k| -> 1, where 1 - s1 s3 cancels to few digits
+@pytest.mark.parametrize("alpha,k", [(0.4999, 0.0), (0.499, 0.0), (0.49, 0.03),
+                                     (0.0, 0.9999999)])
+def test_h0h1_identity_holds_near_the_edge(alpha, k):
+    # h0 h1 g = s1 s3 with g = cos^2(pi alpha) - k^2 formed without the
+    # cancellation; written as 1 - s1 s3, g read 9.2e-10 at (0.4999, 0)
+    reports = run_suite("rh-checks", {"params": make_params(alpha, k)})
+    (h0h1,) = [r for r in reports if r.check_id == "rh.h0h1_identity"]
+    assert h0h1.tol == 1e-12 and h0h1.abs_err <= 1e-12
+
+
 def test_all_suites_pass_at_the_zero_pair(tmp_path):
     # the zero field's FD residual is 0 at every h, so the pde suite yields
     # no convergence ratio there; every other check runs

@@ -137,6 +137,12 @@ def test_beta_and_zeta_take_arrays():
         phase_maps(np.array([0.5, -3.0]))
     with pytest.raises(BranchCutError):
         beta_fn(np.array([0.6, -0.5]), 50.0, NU05)
+    for bad in (math.nan, math.inf, complex(0.6, math.nan)):
+        zs_bad = np.array([0.6, bad])
+        with pytest.raises(DomainError, match="z must be finite"):
+            phase_maps(zs_bad)
+        with pytest.raises(DomainError, match="z must be finite"):
+            beta_fn(zs_bad, 50.0, NU05)
 
 
 def test_beta_rejects_scalar_branch_points():
@@ -234,7 +240,75 @@ def test_time_must_be_finite_and_positive(t):
             evaluate()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.6, math.nan)])
+def test_point_and_order_must_be_finite(bad):
+    # unguarded, each of these returns nan entries, or the identity matrix
+    # for m_pred at the zero pair; a nan order in the residue check raises
+    # QuadratureError only after doubling to 16384 nodes
+    z = 0.5 + 0.15j
+    zero = make_params(0.0, 0.0)
+    for evaluate in (lambda: phase_maps(bad), lambda: beta_fn(bad, 10.0, NU05),
+                     lambda: n_matrix(bad, NU05), lambda: m_pred(P05, 10.0, bad),
+                     lambda: m_pred(P05, 10.0, bad, "left"),
+                     lambda: m_pred(zero, 10.0, bad), lambda: m_pred(zero, 10.0, bad, "left")):
+        with pytest.raises(DomainError, match="z must be finite"):
+            evaluate()
+    for evaluate in (lambda: beta_fn(z, 10.0, bad), lambda: n_matrix(z, bad),
+                     lambda: residue_check_origin(ContourCircle(0.0, 0.1), bad)):
+        with pytest.raises(DomainError, match="nu must be finite"):
+            evaluate()
+
+
 # stationary identity ---------------------------------------------------------
+
+def _two_circle_stationary_lhs(p, t):
+    # the identity as first written: beta^2/zeta about +1/2 and the mirrored
+    # beta(-z)^{-2}/zeta(-z) about -1/2, each with its own weight
+    rc = rh_constants(p)
+    s3 = stokes_triple(p).s3
+    c12, c21 = -(rc.nu * s3 / rc.h1), -(rc.h1 / s3)
+
+    def f_plus(zs):
+        return beta_fn(zs, t, rc.nu) ** 2 / phase_maps(zs)[2]
+
+    def f_minus(zs):
+        return beta_fn(-zs, t, rc.nu) ** -2 / phase_maps(-zs)[2]
+
+    i_plus = rv._circle_integral(f_plus, ContourCircle(0.5, 0.15))
+    i_minus = rv._circle_integral(f_minus, ContourCircle(-0.5, 0.15))
+    return (t ** -0.5 * c12 * cmath.exp(2j * t / 3.0) * i_plus
+            - t ** -0.5 * c21 * cmath.exp(-2j * t / 3.0) * i_minus)
+
+
+@pytest.mark.parametrize("pair", ACCEPTANCE_PAIRS + [(0.4999, 0.0), (0.49, 0.03), (0.0, 0.99957)])
+def test_stationary_identity_matches_two_circle_form(pair):
+    # the circle about -1/2 maps onto the one about +1/2 under z -> -z, and
+    # its integrand onto m_pred's F21 there
+    p = make_params(*pair)
+    for t in (20.0, 50.0, 100.0, 1000.0):
+        lhs, _ = stationary_identity(p, t)
+        assert abs(lhs - _two_circle_stationary_lhs(p, t)) <= 1e-14
+
+
+def test_stationary_identity_integrates_m_pred_on_one_circle(monkeypatch):
+    # one circle, about +1/2, and t^{-1/2} times the integrand is the sum of
+    # m_pred's off-diagonal entries at each node
+    t = 50.0
+    seen = []
+
+    def record(f, circle):
+        assert circle == rv._STATIONARY_CIRCLE == ContourCircle(0.5, 0.15)
+        zs = 0.5 + 0.15 * np.exp(0.3j + 2j * math.pi * np.arange(8) / 8)
+        seen.append(zs)
+        m = [m_pred(P253, t, z) for z in zs]
+        assert np.allclose(t ** -0.5 * f(zs), [x[0, 1] + x[1, 0] for x in m],
+                           rtol=1e-14, atol=0.0)
+        return 0.0
+
+    monkeypatch.setattr(rv, "_circle_integral", record)
+    stationary_identity(P253, t)
+    assert len(seen) == 1
+
 
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
 @pytest.mark.parametrize("t", [20.0, 50.0, 100.0])
@@ -262,8 +336,7 @@ def test_stationary_rhs_amplitude_scaling():
 def test_stationary_radius_independence(monkeypatch):
     vals = []
     for r in (0.1, 0.15, 0.2):
-        monkeypatch.setattr(rv, "_STATIONARY_CIRCLES",
-                            (ContourCircle(0.5, r), ContourCircle(-0.5, r)))
+        monkeypatch.setattr(rv, "_STATIONARY_CIRCLE", ContourCircle(0.5, r))
         lhs, _ = stationary_identity(P253, 50.0)
         vals.append(lhs)
     assert max(abs(v - vals[0]) for v in vals) < 1e-8
