@@ -25,7 +25,7 @@ from . import __version__
 from .asymptotics import (LAUNCH_TOL, _omitted_orders, v_neg_asym,
                           v_neg_launch, v_pos_asym)
 from .errors import ConfigError, PainleveError
-from .integrals import pv_total_integral, total_integral_formula, v_hat
+from .integrals import _check_cutoff, pv_total_integral, total_integral_formula, v_hat
 from .mkdv import (InitialDataCoefficients, SelfSimilarField, ab_to_params,
                    pde_residual_closure, pde_residual_fd, u_hat)
 from .pii import solve_right_launch_homogeneous, fit_oscillation, tuned_solution
@@ -188,9 +188,8 @@ def _suite_fourier(opts) -> Iterator[tuple]:
         yield f"fourier.v_hat_limit_xi={xi:+.0e}", v_hat(p, xi), want, 1e-2
     if "coeffs" in opts:
         coeffs = opts["coeffs"]
-        pf = ab_to_params(coeffs)
         for xi in (1.0, -1.0):
-            got = u_hat(SelfSimilarField(pf, 1e-6), xi)
+            got = u_hat(SelfSimilarField(p, 1e-6), xi)
             want = complex(coeffs.a, -math.pi * coeffs.b * math.copysign(1.0, xi))
             yield f"fourier.u_hat_limit_xi={xi:+.0f}", got, want, 5e-2
 
@@ -264,8 +263,8 @@ def emit_grid(opts: dict) -> str:
     step = opts.get("step", 0.01)
     # the bounds first: a zero step would make the row count a division by zero
     if not (0.0 < step < math.inf and -math.inf < x_lo < x_hi < math.inf
-            and (x_hi - x_lo) / step < math.inf):
-        raise ConfigError("grid needs finite x_lo < x_hi and step > 0, and a finite row count")
+            and (x_hi - x_lo) / step + 1.0 <= 1e6):
+        raise ConfigError("grid needs finite x_lo < x_hi and step > 0, and at most 10^6 rows")
     n = int(round((x_hi - x_lo) / step))
     xs = x_lo + step * np.arange(n + 1)
     sol = tuned_solution(p)
@@ -325,8 +324,8 @@ def _resolve_options(args) -> dict:
     else:
         opts["params"] = make_params(opts.get("alpha", 0.0), opts.get("k", 0.5))
     # a bad cutoff or tol is bad input: checked here, it exits as a config error
-    if "cutoff" in opts and not 20.0 <= opts["cutoff"] < math.inf:
-        raise ConfigError("cutoff must be finite and >= 20")
+    if "cutoff" in opts:
+        _check_cutoff(opts["cutoff"])
     if "tol" in opts and not 0.0 < opts["tol"] < math.inf:
         raise ConfigError("tol must be finite and > 0")
     # environment may override output paths only

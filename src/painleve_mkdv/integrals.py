@@ -23,10 +23,10 @@ import warnings
 import numpy as np
 from scipy.special import fresnel, itairy, sici
 
-from .asymptotics import _decay_coefficients, _oscillatory_rows, psi_tilde
+from .asymptotics import LAUNCH_DEPTHS, _decay_coefficients, _oscillatory_rows, psi_tilde
 from .errors import DomainError
-from .pii import AblowitzSegurSolution, tuned_solution
-from .stokes import ASParams, ConnectionConstants, _edge_cosine
+from .pii import AblowitzSegurSolution, _profile_for
+from .stokes import ASParams, _edge_cosine
 
 __all__ = [
     "total_integral_formula",
@@ -131,9 +131,9 @@ def _by_parts(amp: complex, power: float, s: float,
     return value, abs(amp) * abs(next_level)
 
 
-def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
-           x_match: float) -> tuple[complex, float]:
-    """Both tails beyond the core, alpha/x excluded: the left
+def _tails(sol: AblowitzSegurSolution, x_cut: float, xi: float
+           ) -> tuple[complex, float]:
+    """Both tails of the profile beyond the core, alpha/x excluded: the left
     int_X^inf (v(-s) + alpha/s) e^{i xi s} ds over the launch expansion's
     table as it stands, row 0 (the leading model) included, and the right
     a4 int_X^inf x^{-4} e^{-i xi x} dx.
@@ -143,6 +143,7 @@ def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
     integrated by parts; a zero harmonic is C F(power; xi).  Returns
     (value, estimate of what is omitted).
     """
+    p, c, x_match = sol.params, sol.connection, sol.x_match
     s = x_cut
     psi, dpsi = psi_tilde(s, c)
     d2 = c.d * c.d
@@ -167,21 +168,24 @@ def _tails(p: ASParams, c: ConnectionConstants, x_cut: float, xi: float,
     return value, est
 
 
-def _symmetric_transform(p: ASParams, xi: float, x_cut: float,
-                         tol: float, solution: AblowitzSegurSolution | None
-                         ) -> complex:
-    """int v(x) e^{-i xi x} dx in the symmetric-limit sense: the quadrature
-    core on [-x_cut, x_cut] plus the tails, warning when the estimate of
-    what they omit exceeds ``tol``."""
-    if not 20.0 <= x_cut < math.inf:
-        raise DomainError("tail cutoff must be finite and >= 20")
-    sol = solution if solution is not None else tuned_solution(p)
-    tails, est = _tails(p, sol.connection, x_cut, xi, sol.x_match)
+def _check_cutoff(x_cut: float) -> None:
+    """``DomainError`` unless 20 <= x_cut <= 240: past the deepest launch point
+    the core would integrate, at a cost ~ x_cut^1.5, what the tails sum."""
+    if not 20.0 <= x_cut <= LAUNCH_DEPTHS[1]:
+        raise DomainError(f"tail cutoff must lie in [20, {LAUNCH_DEPTHS[1]:g}]")
+
+
+def _symmetric_transform(sol: AblowitzSegurSolution, xi: float, x_cut: float,
+                         tol: float) -> complex:
+    """int v(x) e^{-i xi x} dx of the profile in the symmetric-limit sense:
+    the quadrature core on [-x_cut, x_cut] plus the tails, warning when the
+    estimate of what they omit exceeds ``tol``."""
+    tails, est = _tails(sol, x_cut, xi)
     value = _core_quadrature(sol, -x_cut, x_cut, xi) + tails
     if xi != 0.0:
         # alpha/x on both tails: -2 i alpha int_X^inf sin(xi x)/x dx
         si_val = float(sici(abs(xi) * x_cut)[0])
-        value += -2j * p.alpha * math.copysign(1.0, xi) * (0.5 * math.pi - si_val)
+        value += -2j * sol.params.alpha * math.copysign(1.0, xi) * (0.5 * math.pi - si_val)
     if est > tol:
         warnings.warn(f"estimated tail remainder {est:.2e} exceeds tol {tol:.2e}",
                       stacklevel=3)
@@ -192,11 +196,12 @@ def pv_total_integral(p: ASParams, cutoff: float = 60.0,
                       solution: AblowitzSegurSolution | None = None) -> float:
     """Principal-value integral of v over the real line (symmetric limit).
 
-    Quadrature on [-cutoff, cutoff] (finite cutoff >= 20), the tails beyond it
-    summed from the expansions.  Warns when the estimated uncomputed
-    remainder exceeds 1e-3.
+    Quadrature on [-cutoff, cutoff] (20 <= cutoff <= 240), the tails beyond
+    it summed from the expansions of ``solution``, which must be p's profile.
+    Warns when the estimated uncomputed remainder exceeds 1e-3.
     """
-    return _symmetric_transform(p, 0.0, cutoff, 1e-3, solution).real
+    _check_cutoff(cutoff)
+    return _symmetric_transform(_profile_for(p, solution), 0.0, cutoff, 1e-3).real
 
 
 def v_hat(p: ASParams, xi: float,
@@ -204,11 +209,11 @@ def v_hat(p: ASParams, xi: float,
     """Fourier transform vhat(xi) = int v(x) e^{-i xi x} dx, symmetric-limit
     sense, for 0 < |xi| <= 1.
 
-    Built from the quadrature core on [-60, 60], the sine-integral closed
-    form of the alpha/x tails and the expansion tails (warning when the
-    estimate of what they omit exceeds 1e-2).
+    Built from p's profile (``solution``, if given): the quadrature core on
+    [-60, 60], the sine-integral closed form of the alpha/x tails and the
+    expansion tails (warning when the estimate of what they omit exceeds 1e-2).
     """
     xi = float(xi)
     if not 0.0 < abs(xi) <= 1.0:
         raise DomainError("v_hat requires 0 < |xi| <= 1")
-    return _symmetric_transform(p, xi, 60.0, 1e-2, solution)
+    return _symmetric_transform(_profile_for(p, solution), xi, 60.0, 1e-2)

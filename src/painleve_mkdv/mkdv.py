@@ -17,7 +17,7 @@ import numpy as np
 from .asymptotics import LAUNCH_DEPTHS
 from .errors import DomainError, GridRangeError
 from .integrals import v_hat
-from .pii import AblowitzSegurSolution, tuned_solution
+from .pii import AblowitzSegurSolution, _profile_for
 from .stokes import ASParams, _edge_cosine, make_params
 
 __all__ = [
@@ -52,15 +52,18 @@ def ab_to_params(coeffs: InitialDataCoefficients) -> ASParams:
 
 
 class SelfSimilarField:
-    """View u(t, .) = -2 (3t)^{-1/3} v(. (3t)^{-1/3}) at a fixed time t > 0."""
+    """View u(t, .) = -2 (3t)^{-1/3} v(. (3t)^{-1/3}) at t > 0, v the profile of params."""
 
     def __init__(self, params: ASParams, t: float,
                  solution: AblowitzSegurSolution | None = None):
         if not 0.0 < t < math.inf:
             raise DomainError("self-similar field requires 0 < t < inf")
-        self.params = params
         self.t = float(t)
-        self.solution = solution if solution is not None else tuned_solution(params)
+        self.solution = _profile_for(params, solution)
+
+    @property
+    def params(self) -> ASParams:
+        return self.solution.params
 
     def u(self, x):
         """u(t, x); vectorized over x."""

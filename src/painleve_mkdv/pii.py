@@ -400,10 +400,13 @@ class AblowitzSegurSolution:
         self.params = params
         self.connection = connection_constants(params)
         s_left, self.launch_error = launch_depth(self.connection, params.alpha)
-        self.x_left = -s_left
-        self.grid = solve_left_launch(params, self.x_left, self.x_match, LAUNCH_TOL)
+        self.grid = solve_left_launch(params, -s_left, self.x_match, LAUNCH_TOL)
         v_grid = self.grid.evaluate(self.x_match)[0]
         self.seam_jump = abs(v_grid - v_pos_asym(self.x_match, params.alpha)[0])
+
+    @property
+    def x_left(self) -> float:
+        return self.grid.launch_point
 
     def v(self, x):
         """Return (v, v') at x (scalar or array of finite values)."""
@@ -429,3 +432,13 @@ def tuned_solution(p: ASParams) -> AblowitzSegurSolution:
     recently used first out): grids are read-only, ~0.23 MB from -60, so 32
     hold ~7 MB (~28 MB as one scipy interpolant object per step)."""
     return AblowitzSegurSolution(p)
+
+
+def _profile_for(p: ASParams, solution: AblowitzSegurSolution | None
+                 ) -> AblowitzSegurSolution:
+    """p's profile: ``solution`` if it was solved for p, ``tuned_solution(p)`` if None."""
+    if solution is None:
+        return tuned_solution(p)
+    if solution.params != p:
+        raise DomainError(f"profile solved for {solution.params}, not for {p}")
+    return solution

@@ -72,10 +72,10 @@ def test_invalid_params_rejected():
     assert main(["total-integral", "--alpha", "0.25", "--k", "0.9"]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("cutoff", [math.inf, math.nan, 10.0])
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan, 10.0, 1e20, 241.0])
 def test_bad_cutoff_is_a_config_error(tmp_path, capsys, cutoff):
-    # an infinite cutoff would walk the quadrature panels from -inf forever;
-    # a bad value in the config file exits 2 before any suite runs
+    # an infinite cutoff, or 1e20, would walk the quadrature panels from -inf
+    # forever; a bad value in the config file exits 2 before any suite runs
     cfg = tmp_path / "ti.cfg"
     cfg.write_text(f"alpha = 0\nk = 0.5\ncutoff = {cutoff!r}\n")
     out = tmp_path / "rep.jsonl"
@@ -140,10 +140,11 @@ def test_grid_deterministic_and_env_override(tmp_path, monkeypatch):
 @pytest.mark.parametrize("bounds", [{"x_lo": -math.inf}, {"x_hi": math.inf},
                                     {"x_lo": math.nan}, {"step": math.inf},
                                     {"step": math.nan}, {"step": 0.0}, {"step": -0.01},
-                                    {"x_lo": -1e308, "x_hi": 1e308}])
+                                    {"x_lo": -1e308, "x_hi": 1e308}, {"step": 1e-12}])
 def test_grid_non_finite_bounds_are_config_errors(tmp_path, capsys, bounds):
-    # exit 2 is a bad input; exit 1 would say a check failed.  The last
-    # bounds are finite, but their row count overflows
+    # exit 2 is a bad input; exit 1 would say a check failed.  The last two
+    # are finite, but their row counts overflow or exceed 10^6 (6.4e13 rows
+    # would not fit in memory)
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("alpha = 0\nk = 0.5\n" + "".join(f"{k} = {v!r}\n" for k, v in bounds.items()))
     out = tmp_path / "grid.csv"

@@ -58,8 +58,9 @@ def test_formula_near_the_edge():
 
 
 def test_pv_cutoff_validation():
-    # unguarded, an infinite cutoff walks its panels from -inf without end
-    for cutoff in (10.0, math.inf, math.nan):
+    # unguarded, an infinite cutoff walks its panels from -inf without end,
+    # and so does 1e20, where the panel step is below the spacing of doubles
+    for cutoff in (10.0, math.inf, math.nan, 1e20):
         with pytest.raises(DomainError):
             pv_total_integral(make_params(0.0, 0.5), cutoff=cutoff)
 
@@ -167,10 +168,9 @@ def test_tail_remainder_warning_fires(sol_025_03, xi, tol):
     # the public entry points stay under their tolerances on the acceptance
     # pairs, so the transform is driven with a tol on either side of its own
     # estimate; under -W error a warning on the quiet side fails the test
-    p = sol_025_03.params
-    est = integrals._tails(p, sol_025_03.connection, 20.0, xi, sol_025_03.x_match)[1]
+    est = integrals._tails(sol_025_03, 20.0, xi)[1]
     assert 0.0 < est < tol
-    quiet = integrals._symmetric_transform(p, xi, 20.0, 2.0 * est, sol_025_03)
+    quiet = integrals._symmetric_transform(sol_025_03, xi, 20.0, 2.0 * est)
     with pytest.warns(UserWarning, match="tail remainder"):
-        loud = integrals._symmetric_transform(p, xi, 20.0, 0.5 * est, sol_025_03)
+        loud = integrals._symmetric_transform(sol_025_03, xi, 20.0, 0.5 * est)
     assert loud == quiet

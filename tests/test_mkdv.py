@@ -10,7 +10,7 @@ from painleve_mkdv.errors import DomainError, GridRangeError
 from painleve_mkdv.mkdv import (InitialDataCoefficients, SelfSimilarField,
                                 ab_to_params, pde_residual_closure,
                                 pde_residual_fd, u_hat)
-from painleve_mkdv.integrals import v_hat
+from painleve_mkdv.integrals import pv_total_integral, v_hat
 from painleve_mkdv.pii import tuned_solution
 from painleve_mkdv.stokes import make_params
 
@@ -32,6 +32,19 @@ def test_field_requires_positive_time():
     for t in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="0 < t < inf"):
             SelfSimilarField(make_params(0.0, 0.5), t)
+
+
+def test_profile_of_another_pair_is_rejected():
+    # unguarded, the core quadrature read the profile while the tails, a4 and
+    # alpha/x read p: the total integral gave -0.8306, neither pair's value
+    # (0.4523 and -0.8294), and the field kept both pairs
+    p = make_params(0.25, 0.3)
+    other = tuned_solution(make_params(-0.3, -0.4))
+    for build in (lambda: pv_total_integral(p, solution=other),
+                  lambda: v_hat(p, 0.25, solution=other),
+                  lambda: u_hat(SelfSimilarField(p, 1.0, solution=other), 0.25)):
+        with pytest.raises(DomainError, match="profile solved for"):
+            build()
 
 
 def test_profile_rejects_non_finite_x(sol_0_05):
@@ -111,7 +124,7 @@ class _CountingProfile:
     """A profile whose ``v`` counts its calls."""
 
     def __init__(self, sol):
-        self.sol, self.x_match, self.calls = sol, sol.x_match, 0
+        self.sol, self.params, self.x_match, self.calls = sol, sol.params, sol.x_match, 0
 
     def v(self, x):
         self.calls += 1
