@@ -43,8 +43,8 @@ def psi_tilde(s, c: ConnectionConstants):
     PsiTilde'(s) = s^{1/2} - (3/4) d^2 / s.
     """
     s = np.asarray(s, dtype=float)
-    if (s <= 0.0).any():
-        raise DomainError("psi_tilde requires s > 0")
+    if not ((s > 0.0) & (s < np.inf)).all():
+        raise DomainError("psi_tilde requires 0 < s < inf")
     d2 = c.d * c.d
     value = (2.0 / 3.0) * s ** 1.5 - 0.75 * d2 * np.log(s) + c.phi
     deriv = np.sqrt(s) - 0.75 * d2 / s
@@ -188,8 +188,8 @@ def _sum_orders(x, p: ASParams, c: ConnectionConstants, n_orders: int,
     amplitude is summed over the orders by one matrix product; the
     harmonics are then summed by Horner's rule in one e^{i psi}."""
     x = np.asarray(x, dtype=float)
-    if (x >= 0.0).any():
-        raise DomainError("the oscillatory model requires x < 0")
+    if not ((x < 0.0) & (x > -np.inf)).all():
+        raise DomainError("the oscillatory model requires -inf < x < 0")
     s = -x.reshape(-1)
     psi, dpsi = psi_tilde(s, c)
     table = _coefficients(c.d, p.alpha)[:n_orders, :n_orders + 1]
@@ -244,8 +244,8 @@ def _decay_coefficients(alpha: float) -> tuple[float, float]:
 def v_pos_asym(x, alpha: float):
     """Decaying model of v and its derivative for x > 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("v_pos_asym requires x > 0")
+    if not ((x > 0.0) & (x < np.inf)).all():
+        raise DomainError("v_pos_asym requires 0 < x < inf")
     a4 = _decay_coefficients(alpha)[0]
     v = alpha / x + a4 / x ** 4
     v_prime = -alpha / x ** 2 - 4.0 * a4 / x ** 5

@@ -51,6 +51,11 @@ def ab_to_params(coeffs: InitialDataCoefficients) -> ASParams:
     return make_params(alpha, k)
 
 
+def _scale(t: float) -> float:
+    """The self-similar scale (3t)^{-1/3}: u = -2 scale v(x scale)."""
+    return (3.0 * t) ** (-1.0 / 3.0)
+
+
 class SelfSimilarField:
     """View u(t, .) = -2 (3t)^{-1/3} v(. (3t)^{-1/3}) at t > 0, v the profile of params."""
 
@@ -67,7 +72,7 @@ class SelfSimilarField:
 
     def u(self, x):
         """u(t, x); vectorized over x."""
-        scale = (3.0 * self.t) ** (-1.0 / 3.0)
+        scale = _scale(self.t)
         return -2.0 * scale * self.solution.v(np.asarray(x, dtype=float) * scale)[0]
 
 
@@ -77,22 +82,21 @@ def u_hat(field: SelfSimilarField, xi: float) -> complex:
     return -2.0 * v_hat(field.params, xi_scaled, solution=field.solution)
 
 
-def _y_window_check(field: SelfSimilarField, xs: np.ndarray, t: float):
-    scale = (3.0 * t) ** (-1.0 / 3.0)
-    ys = xs * scale
-    # left of x_left the profile is its launch expansion, as exact as the
-    # solved part down to the deepest launch point; right of x_match it is
-    # the decaying model, across a jump
-    if np.min(ys) < -LAUNCH_DEPTHS[1] or np.max(ys) > field.solution.x_match:
-        raise GridRangeError(
-            f"window leaves [{-LAUNCH_DEPTHS[1]:g}, x_match] after self-similar "
-            "rescaling")
-
-
-def _finite_window(window: tuple[float, float]) -> tuple[float, float]:
+def _checked_window(field: SelfSimilarField, window: tuple[float, float],
+                    t: float) -> tuple[float, float]:
+    """(x_lo, x_hi) of a finite window x_lo < x_hi whose abscissae,
+    rescaled at time t, stay within [-LAUNCH_DEPTHS[1], x_match]."""
     x_lo, x_hi = float(window[0]), float(window[1])
     if not -math.inf < x_lo < x_hi < math.inf:
         raise DomainError("need a finite window x_lo < x_hi")
+    scale = _scale(t)
+    # left of x_left the profile is its launch expansion, as exact as the
+    # solved part down to the deepest launch point; right of x_match it is
+    # the decaying model, across a jump
+    if x_lo * scale < -LAUNCH_DEPTHS[1] or x_hi * scale > field.solution.x_match:
+        raise GridRangeError(
+            f"window leaves [{-LAUNCH_DEPTHS[1]:g}, x_match] after self-similar "
+            "rescaling")
     return x_lo, x_hi
 
 
@@ -105,16 +109,19 @@ def pde_residual_fd(field: SelfSimilarField, window: tuple[float, float],
     seven stencil rows are evaluated in one call, each point as ``u`` of a
     field at that row's time evaluates it.
     """
-    x_lo, x_hi = _finite_window(window)
-    if not 0.0 < h < math.inf:
-        raise DomainError("need a finite step h > 0")
     t = field.t
+    if not 0.0 < h < t:
+        raise DomainError("pde_residual_fd needs a step 0 < h < t")
+    x_lo, x_hi = window
+    if not x_lo < x_hi:  # widening by 2h below orders some reversed windows
+        raise DomainError("need a finite window x_lo < x_hi")
+    # the stencil reaches 2h past the window, and furthest in y at its
+    # earliest row, t - h
+    _checked_window(field, (x_lo - 2 * h, x_hi + 2 * h), t - h)
     xs = np.arange(x_lo, x_hi + 0.5 * h, h)
-    for t_check in (t - h, t, t + h):
-        _y_window_check(field, np.array([x_lo - 2 * h, x_hi + 2 * h]), t_check)
     rows = ((xs, t + h), (xs, t - h), (xs - 2 * h, t), (xs - h, t), (xs, t),
             (xs + h, t), (xs + 2 * h, t))
-    scales = np.array([(3.0 * t_row) ** (-1.0 / 3.0) for _, t_row in rows])
+    scales = np.array([_scale(t_row) for _, t_row in rows])
     v = field.solution.v(np.concatenate([x * s for (x, _), s in zip(rows, scales)]))[0]
     u_rows = -2.0 * scales[:, None] * v.reshape(len(rows), -1)
     u_plus, u_minus, um2, um1, u0, up1, up2 = u_rows
@@ -130,11 +137,10 @@ def pde_residual_closure(field: SelfSimilarField, window: tuple[float, float]) -
     closed form from (v, v') and the profile ODE closure
     (v''' = v + y v' + 6 v^2 v'); identically zero up to the accuracy of the
     stored states, so this guards the wiring."""
-    x_lo, x_hi = _finite_window(window)
     t = field.t
+    x_lo, x_hi = _checked_window(field, window, t)
     xs = np.linspace(x_lo, x_hi, 201)
-    _y_window_check(field, xs, t)
-    scale = (3.0 * t) ** (-1.0 / 3.0)
+    scale = _scale(t)
     ys = xs * scale
     v, vp = field.solution.v(ys)
     pref = (3.0 * t) ** (-4.0 / 3.0)

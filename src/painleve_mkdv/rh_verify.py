@@ -94,6 +94,13 @@ def _with_module(z):
     return _finite(complex(z), "z"), cmath
 
 
+def _checked_time(t, name: str) -> float:
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{name} requires 0 < t < inf")
+    return t
+
+
 def phase_maps(z):
     """eta = z - 4z^3/3, theta_tilde = -i eta = i(4z^3/3 - z), and
     zeta = (4 sqrt(3)/3) e^{3 pi i/4} (z - 1/2) sqrt(z + 1) (principal root),
@@ -136,9 +143,7 @@ def beta_fn(z, t: float, nu: complex):
     """
     z, xm = _with_module(z)
     _finite(nu, "nu")
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError("beta_fn requires 0 < t < inf")
+    t = _checked_time(t, "beta_fn")
     at_branch = (abs(z + 0.5) < 1e-12) | (abs(z + 1.0) < 1e-12)
     if at_branch if xm is cmath else at_branch.any():
         raise BranchCutError("beta_fn undefined at the left branch points")
@@ -211,8 +216,7 @@ def stationary_identity(p: ASParams, t: float) -> tuple[complex, complex]:
     rhs: -i pi d t^{-1/2} cos((2/3) t - (3/4) d^2 ln t^{2/3} + phi).
     The identity is exact for every t > 0.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError("stationary identity requires 0 < t < inf")
+    t = _checked_time(t, "stationary identity")
     if p.degenerate:
         return 0.0 + 0.0j, 0.0 + 0.0j
     cc = connection_constants(p)
@@ -298,28 +302,19 @@ def _pair_terms(p: ASParams) -> tuple | None:
     return rc.nu, cmath.sqrt(-rc.h1 / s3), -(rc.nu * s3 / rc.h1), -(rc.h1 / s3)
 
 
-# t_right_parametrix and m_pred are called in turn at the same (nu, t, z) by
-# every sweep (parametrix_decay, and the left side through -z), so the last
-# point's shared terms are kept: phase_maps and beta.
-@lru_cache(maxsize=1)
-def _point_terms(nu: complex, t: float, z: complex) -> tuple:
-    return phase_maps(z), beta_fn(z, t, nu)
-
-
 def t_right_parametrix(p: ASParams, t: float, z: complex) -> np.ndarray:
     """Local parametrix about z = +1/2 on the annulus 0.05 <= |z-1/2| <= 0.2:
     T = l^{sigma3} P(w) Z(w) r^{sigma3} with P(w) = [[w, 1], [1, 0]],
     l = beta e^{it/3} / (a sqrt 2), r = a e^{t theta} and a = sqrt(-h1/s3)."""
-    z, t = complex(z), float(t)
+    z = complex(z)
     if not 0.05 - 1e-12 <= abs(z - 0.5) <= 0.2 + 1e-12:
         raise DomainError("t_right_parametrix expects 0.05 <= |z - 1/2| <= 0.2")
-    if not 0.0 < t < math.inf:
-        raise DomainError("t_right_parametrix requires 0 < t < inf")
+    t = _checked_time(t, "t_right_parametrix")
     pair = _pair_terms(p)
     if pair is None:
         raise DegenerateParamsError("parametrix prefactor -h1/s3 undefined where nu = 0")
     nu, a_fac, _, _ = pair
-    (theta, _, zeta), beta = _point_terms(nu, t, z)
+    (theta, _, zeta), beta = phase_maps(z), beta_fn(z, t, nu)
     w = math.sqrt(t) * zeta
     left = beta / a_fac * cmath.exp(1j * t / 3.0) * _SQRT_HALF
     right = cmath.exp(t * theta) * a_fac
@@ -342,14 +337,12 @@ def m_pred(p: ASParams, t: float, z: complex, side: str = "right") -> np.ndarray
     z = _finite(complex(z), "z")
     if side == "left":
         return SIGMA2 @ m_pred(p, t, -z, "right") @ SIGMA2
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError("m_pred requires 0 < t < inf")
+    t = _checked_time(t, "m_pred")
     pair = _pair_terms(p)
     if pair is None:
         return np.eye(2, dtype=complex)
     nu, _, c12, c21 = pair
-    (_, _, zeta), beta = _point_terms(nu, t, z)
+    zeta, beta = phase_maps(z)[2], beta_fn(z, t, nu)
     f12, f21 = _f_terms(c12, c21, t, beta, zeta)
     two_zeta2 = 2.0 * zeta ** 2
     g11 = nu * (nu + 1.0) / two_zeta2

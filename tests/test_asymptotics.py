@@ -38,8 +38,21 @@ def test_psi_tilde_derivative_matches_fd(s, d, phi):
 
 
 def test_psi_tilde_domain():
-    with pytest.raises(DomainError):
-        psi_tilde(-1.0, ConnectionConstants(0.1, 0.0))
+    # NaN and +-inf fail the guards as out-of-range values do, as scalars
+    # and inside an array, for the phase and for the three models
+    c = ConnectionConstants(0.1, 0.0)
+    p = make_params(0.25, 0.3)
+    pc = connection_constants(p)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        for x in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError):
+                psi_tilde(x, c)
+            with pytest.raises(DomainError):
+                v_pos_asym(x, p.alpha)
+            with pytest.raises(DomainError):
+                v_neg_asym(-x, p, pc)
+            with pytest.raises(DomainError):
+                v_neg_launch(-x, p, pc)
 
 
 def test_stationary_threshold():

@@ -176,12 +176,14 @@ def test_non_finite_transform_and_window_rejected(sol_0_05):
     for xi in (math.nan, math.inf):
         with pytest.raises(DomainError):
             u_hat(field, xi)
-    for window in [(math.nan, 3.0), (-3.0, math.nan), (-math.inf, 3.0), (-3.0, math.inf)]:
+    # (0.1, 0.0) is reversed; widened by the stencil's 2h = 0.1 at each end it is not
+    for window in [(math.nan, 3.0), (-3.0, math.nan), (-math.inf, 3.0), (-3.0, math.inf),
+                   (0.1, 0.0)]:
         with pytest.raises(DomainError):
             pde_residual_closure(field, window)
         with pytest.raises(DomainError):
             pde_residual_fd(field, window, 0.05)
-    for h in (math.nan, math.inf):
+    for h in (math.nan, math.inf, 0.5, 1.0):  # 0.5 = t and 1.0 = 2t
         with pytest.raises(DomainError):
             pde_residual_fd(field, (-3.0, 3.0), h)
 
@@ -190,7 +192,7 @@ def test_pde_window_out_of_range(sol_0_05):
     field = SelfSimilarField(sol_0_05.params, 1e-4, solution=sol_0_05)
     # tiny t squeezes the window far outside the dense profile grid
     with pytest.raises(GridRangeError):
-        pde_residual_fd(field, (-30.0, 30.0), 0.05)
+        pde_residual_fd(field, (-30.0, 30.0), 5e-5)
 
 
 def test_pde_window_reaches_the_deepest_launch_point(sol_0_05):

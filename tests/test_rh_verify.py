@@ -595,10 +595,7 @@ def test_parametrices_take_numpy_and_python_floats_alike(pair):
         assert type(t) is np.float64
         for f, args in ((t_right_parametrix, (z,)), (m_pred, (z, "right")),
                         (t_left_parametrix, (-z,)), (m_pred, (-z, "left"))):
-            rv._point_terms.cache_clear()
-            got = f(p, t, *args)
-            rv._point_terms.cache_clear()
-            assert np.array_equal(got, f(p, float(t), *args))
+            assert np.array_equal(f(p, t, *args), f(p, float(t), *args))
         assert np.array_equal(beta_fn(z, t, NU05), beta_fn(z, float(t), NU05))
 
 
@@ -629,50 +626,6 @@ def test_m_pred_left_right_mirror():
     left = m_pred(P253, t, z, "left")
     right = m_pred(P253, t, -z, "right")
     assert np.array_equal(left, SIGMA2 @ right @ SIGMA2)
-
-
-def test_sweep_point_terms_formed_once(monkeypatch):
-    # t_right_parametrix and then m_pred at one (p, t, z) form phase_maps and
-    # beta_fn once between them, on either side
-    calls = {"phase_maps": 0, "beta_fn": 0}
-
-    def counted(name):
-        f = getattr(rv, name)
-
-        def g(*args):
-            calls[name] += 1
-            return f(*args)
-        return g
-
-    for name in calls:
-        monkeypatch.setattr(rv, name, counted(name))
-    rv._point_terms.cache_clear()
-    z = 0.5 + 0.15 * cmath.exp(0.7j)
-    t_right_parametrix(P253, 40.0, z)
-    m_pred(P253, 40.0, z, "right")
-    assert calls == {"phase_maps": 1, "beta_fn": 1}
-    t_left_parametrix(P253, 60.0, -z)
-    m_pred(P253, 60.0, -z, "left")
-    assert calls == {"phase_maps": 2, "beta_fn": 2}
-
-
-def test_sweep_point_memo_holds_one_point():
-    assert rv._point_terms.cache_info().maxsize == 1
-
-
-def test_sweep_point_memo_is_bit_identical():
-    # interleaved calls at two pairs sharing (t, z), on both sides, against
-    # the same calls each made with the memo emptied first
-    t, z = 40.0, 0.5 + 0.15 * cmath.exp(0.7j)
-    seq = [(t_right_parametrix, (P05, t, z)), (m_pred, (P05, t, z, "right")),
-           (t_right_parametrix, (P253, t, z)), (m_pred, (P05, t, z, "right")),
-           (m_pred, (P253, t, z, "right")), (t_left_parametrix, (P253, t, -z)),
-           (m_pred, (P253, t, -z, "left")), (t_right_parametrix, (P05, t, z)),
-           (t_left_parametrix, (P05, t, -z)), (m_pred, (P253, t, z, "right"))]
-    memo = [f(*args) for f, args in seq]
-    for (f, args), got in zip(seq, memo):
-        rv._point_terms.cache_clear()
-        assert np.array_equal(f(*args), got)
 
 
 @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.25, 0.3)])
