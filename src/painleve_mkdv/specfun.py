@@ -26,10 +26,14 @@ Numerical layout:
   - elsewhere in the band |Im z^2| > 18, Re z^2 <= 6 (terms cancel by
     e^{|Im z^2|/2}): Taylor transport of the Weber ODE outward from
     (D_nu(0), D_nu'(0)) in closed form, where both solutions start O(1), in
-    steps of |h| <= 1 of at most 64 coefficients, each stopping once three
-    terms in a row fall below 1e-18 of the value (8 terms at least).
-  Both read at most 1.0e-12 relative to 30-digit mpmath in D and D' (320
-  seeded wedge and 120 band points at 11 orders, |nu| <= 2).
+    two equal Taylor steps (|h| <= 4 covers |z| < 7.6) of at most 160
+    coefficients (85 seen on |nu| <= 2.8), each stopping once three terms
+    in a row fall below 1e-18 of the value (8 terms at least).
+  Against 30-digit mpmath in D and D', the seeded oracle sets read at most
+  9.0e-13 relative at 11 orders with |nu| <= 2 (100 wedge and 100 band
+  points), and 6.0e-12 on 94 band points at the edge orders -2.58i and
+  -1 + 2.58i, where the seeds' rounding, carried outward by the growing
+  solution, sets the error (2, 4 and 8 steps read the same).
 * The series sums its even and odd Kummer sums, which share w = z^2/2, in
   one loop, and the expansion its terms; the factors that depend on the term
   index alone come from tables built at import.  Each term keeps one fixed
@@ -93,8 +97,8 @@ def log_gamma(z: complex) -> complex:
 
 _PCF_ASYM_RADIUS = 7.6
 _PCF_MAX_ABS = 50.0
-_TAYLOR_TERMS = 64  # coefficients per band transport step of |h| <= _BAND_STEP
-_BAND_STEP = 1.0
+_TAYLOR_TERMS = 160  # coefficients per band transport step of |h| <= _BAND_STEP
+_BAND_STEP = 4.0  # two steps for every band point (4.24 < |z| < 7.6)
 _CF_TERMS = 128  # continued-fraction terms; 78 seen on |nu| <= 2.3
 
 
@@ -229,7 +233,10 @@ _TERM_TABLE = tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
 def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
     """Carry (D_nu, D_nu') from z = 0 outward along the segment to z, in equal
     Taylor steps of |h| <= ``_BAND_STEP`` of the Weber ODE
-    u'' = (z^2/4 - nu - 1/2) u."""
+    u'' = (z^2/4 - nu - 1/2) u: two steps for every band point.  They sum
+    43% fewer coefficients than unit steps; the longer steps cancel more,
+    up to 7.0e-13 on seeded band points at |nu| <= 1.12 (2.4e-14 in unit
+    steps), which stays under the error the seeds set at |nu| = 2."""
     u, up = _pcf_at_zero(nu)
     n_steps = max(1, math.ceil(abs(z) / _BAND_STEP))
     h = z / n_steps
@@ -291,8 +298,11 @@ def _pcf_wedge(nu: complex, z: complex) -> tuple[complex, complex]:
 def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     """Parabolic cylinder function: return (D_nu(z), d/dz D_nu(z)).
 
-    Intended range |nu| <= 2, |z| <= 50.  Relative accuracy is ~1e-12 in the
-    right wedge and the band (see the module notes), ~2e-11 elsewhere, but
+    Tested range: |z| <= 50 and |nu| <= 2 on every path; the band also at
+    the orders -2.58i and -1 + 2.58i (|nu| <= 2.77), near those of the
+    parametrix at the edge pair (alpha, k) = (0.4999, 0).  Relative accuracy
+    is ~1e-12 in the right wedge and the band at |nu| <= 2 and ~6e-12 in the
+    band at the edge orders (see the module notes), ~2e-11 elsewhere, but
     ~1e-10 where D_nu is small next to its even and odd series parts: near
     |nu| = 2, |z| ~ 4-6, arg z ~ +-45 degrees (8.3e-11 in D and 1.1e-10 in D'
     at nu = -1 + 2i, z = 3.48 + 2.53i, relative to mpmath).

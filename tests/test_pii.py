@@ -238,20 +238,26 @@ def _scipy_dop853(y0, x_start, x_end, alpha, tol):
                      dense_output=True, max_step=_max_step_for((x_start, x_end)))
 
 
-@pytest.mark.parametrize("launch", ["left", "right"])
+# (alpha, k, launch point) of the left launches to 4 at tol 1e-10; alpha != 0
+# checks the step's -alpha term
+_LEFT_LAUNCHES = {"left": (0.0, 0.5, -240.0), "left-alpha": (0.25, 0.3, -60.0)}
+
+
+@pytest.mark.parametrize("launch", ["left", "right", "left-alpha"])
 def test_stepper_matches_scipy_dop853(launch):
     # same tableau and step control as scipy's DOP853: the same steps, and
     # dense values that differ only by rounding
-    if launch == "left":
-        p = make_params(0.0, 0.5)
-        x0, x1, tol = -240.0, 4.0, 1e-10
+    if launch in _LEFT_LAUNCHES:
+        alpha, k, x0 = _LEFT_LAUNCHES[launch]
+        p = make_params(alpha, k)
+        x1, tol = 4.0, 1e-10
         y0 = v_neg_launch(x0, p, connection_constants(p))
         grid = solve_left_launch(p, x0, x1, tol)
     else:
-        x0, x1, tol = 12.0, -60.0, 1e-11
+        alpha, x0, x1, tol = 0.0, 12.0, -60.0, 1e-11
         y0 = tuple(0.5 * a for a in airy_ai(x0))
         grid = solve_right_launch_homogeneous(0.5, x0, x1, tol)
-    ref = _scipy_dop853(y0, x0, x1, 0.0, tol)
+    ref = _scipy_dop853(y0, x0, x1, alpha, tol)
     assert len(grid.abscissas) == len(ref.t)
     xs = np.linspace(min(x0, x1), max(x0, x1), 4001)
     for pts in (xs, grid.abscissas, np.array([x0, x1])):

@@ -219,6 +219,9 @@ def test_pcf_range_guard():
 BAND_ORDERS = [-0.0458j, -1 + 0.0458j, -0.5j, -1 + 0.5j, 0.3 + 0.2j]
 # |nu| = 2 orders, where D_nu is smallest next to its even and odd parts
 ORDERS_TWO = [-1 + 2j, -2j, 2.0, -2.0, -1 - 2j, 1.5j]
+# the orders nu = -2.567i and -nu - 1 of the parametrix Z at the edge pair
+# (alpha, k) = (0.4999, 0), rounded outward
+ORDERS_EDGE = [-2.58j, -1 + 2.58j]
 
 
 def _seeded_points(seed, count, keep):
@@ -259,8 +262,15 @@ def test_pcf_cancellation_band_matches_oracle():
 
 
 def test_pcf_band_transport_matches_oracle():
-    # the worst relative error measured here is 1.0e-12
+    # the worst relative error measured here is 9.0e-13
     _assert_matches_oracle(ORDERS_TWO, _band_points(12, 60), 5e-12)
+
+
+def test_pcf_band_at_edge_orders_matches_oracle():
+    # the worst relative error measured here is 6.0e-12: the rounding of
+    # D_nu(0) and D_nu'(0), carried outward by the growing solution, which
+    # 2, 4 and 8 steps read alike
+    _assert_matches_oracle(ORDERS_EDGE, _band_points(21, 94), 1.5e-11)
 
 
 def test_pcf_wedge_matches_oracle():
