@@ -16,36 +16,34 @@ Numerical layout:
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  Its one
   path chooser, ``_pcf_core``, reflects (through ``_pcf_core`` again) where
   |arg z| > pi/2 and |z| >= 7.6 or Re z^2 > 6, and otherwise takes the
-  large-z expansion beyond |z| = 7.6 and the even/odd Kummer series below.
-  Two regions below the ring, where the series cancels, take other paths:
-  - where D_nu is recessive (Re z > 0, Re z^2 > 0; the series loses
-    e^{Re z^2/2}), the right near-real wedge Re z^2 > 6 and the band points
-    below: D_{nu+1}/D_nu from its continued fraction (Gautschi, SIAM Rev. 9
-    (1967); at most 128 terms, 78 seen on |nu| <= 2.3), scaled by the
-    Wronskian with the dominant D_{-nu-1}(-+iz) (DLMF 12.2);
-  - elsewhere in the band |Im z^2| > 18, Re z^2 <= 6 (terms cancel by
-    e^{|Im z^2|/2}): Taylor transport of the Weber ODE outward from
-    (D_nu(0), D_nu'(0)) in closed form, where both solutions start O(1), in
-    two equal Taylor steps (|h| <= 4 covers |z| < 7.6) of at most 160
-    coefficients (85 seen on |nu| <= 2.8), each stopping once three terms
-    in a row fall below 1e-18 of the value (8 terms at least).
+  large-z expansion beyond |z| = 7.6.  Below the ring:
+  - where D_nu is recessive in the right wedge Re z^2 > 6 and in the band
+    |Im z^2| > 18, Re z^2 > 0: D_{nu+1}/D_nu from its continued fraction
+    (Gautschi, SIAM Rev. 9 (1967); at most 128 terms, 78 seen on
+    |nu| <= 2.3), scaled by the Wronskian with the dominant D_{-nu-1}(-+iz)
+    (DLMF 12.2);
+  - everywhere else: Taylor transport of the Weber ODE outward from
+    (D_nu(0), D_nu'(0)) in closed form, in equal steps of |h| <= 4 (one up
+    to |z| = 4, two beyond) of at most 160 coefficients, each stopping once
+    three terms in a row fall below 1e-18 of the value.  The first step is
+    centred at 0, so its even and odd parts run apart (at most 80
+    coefficients seen on |nu| <= 2.8).
   Against 30-digit mpmath in D and D', the seeded oracle sets read at most
-  9.0e-13 relative at 11 orders with |nu| <= 2 (100 wedge and 100 band
-  points), and 6.0e-12 on 94 band points at the edge orders -2.58i and
-  -1 + 2.58i, where the seeds' rounding, carried outward by the growing
-  solution, sets the error (2, 4 and 8 steps read the same).
-* The series sums its even and odd Kummer sums, which share w = z^2/2, in
-  one loop, and the expansion its terms; the factors that depend on the term
-  index alone come from tables built at import.  Each term keeps one fixed
-  order of operations, so the tables change no bit of D_nu.
+  9.0e-13 relative at 11 orders with |nu| <= 2 in the wedge and band, and
+  2.5e-12 on 100 points of the rest at |nu| = 2; at the edge orders -2.58i
+  and -1 + 2.58i, 6.0e-12 in the band and 5.1e-12 elsewhere.  Wider
+  probes (1000 points each) reach 1.3e-11 (|nu| = 2) and 2.6e-11 (edge)
+  in the recessive sector Re z > 0, 0 < Re z^2 <= 6, where the transport
+  carries the dominant solution's rounding.
+* The transport and the expansion sum over tables, built at import, of the
+  factors that depend on the term index alone.
 * ``_pcf_core`` keeps its last two points: the wedge path's partner is the
   other column of the parametrix matrix Z, so a Z point evaluates each
-  column once.  The last pair of Kummer sums is cached as well: by Kummer's
-  transformation M(a, c, w) = e^w M(c - a, c, -w), D_{-nu-1}(+-iw) and
-  D_nu(+-w) share their two sums, so Z's second column reuses the first
-  column's whenever both take the series path.  The seeds
-  (D_nu(0), D_nu'(0)) of the last two orders are cached too: a parametrix
-  sweep alternates nu and -nu-1.
+  column once.  The first step's parts depend on (nu, h) only through
+  q h^2 and h^4 (q = nu + 1/2), and Z's columns D_{-nu-1}(+-iw) and
+  D_nu(+-w) solve one Weber ODE in w, so they share them bit for bit when
+  nu is purely imaginary: the last parts are cached.  So are the seeds of
+  the last two orders, since a parametrix sweep alternates nu and -nu-1.
 """
 
 from __future__ import annotations
@@ -97,84 +95,18 @@ def log_gamma(z: complex) -> complex:
 
 _PCF_ASYM_RADIUS = 7.6
 _PCF_MAX_ABS = 50.0
-_TAYLOR_TERMS = 160  # coefficients per band transport step of |h| <= _BAND_STEP
+_TAYLOR_TERMS = 160  # coefficients per transport step of |h| <= _BAND_STEP
 _BAND_STEP = 4.0  # two steps for every band point (4.24 < |z| < 7.6)
 _CF_TERMS = 128  # continued-fraction terms; 78 seen on |nu| <= 2.3
-
-
-# per Kummer term k: the denominators (c + k)(k + 1) of the even (c = 1/2)
-# and odd (c = 3/2) sums, and the weight k + 1 of dM/dw
-_KUMMER_TABLE = tuple(((0.5 + k) * (k + 1.0), (1.5 + k) * (k + 1.0), k + 1.0)
-                      for k in range(600))
-
-
-def _kummer_pair(nu: complex, w: complex) -> tuple[complex, ...]:
-    """(M(a, 1/2, w), dM/dw, M(b, 3/2, w), dM/dw) with a = -nu/2 and
-    b = (1 - nu)/2: the even and odd sums of D_nu at w = z^2/2.
-
-    Arguments with Re w < 0 are routed through M(a,c,w) = e^w M(c-a, c, -w)
-    so the summed series never alternates in its dominant scale.
-    """
-    a, b = -0.5 * nu, 0.5 * (1.0 - nu)
-    if w == 0:
-        return 1.0 + 0.0j, a / 0.5, 1.0 + 0.0j, b / 1.5
-    if w.real < 0.0:
-        m1, dm1, m2, dm2 = _kummer_sums(0.5 - a, 1.5 - b, -w)
-        ew = cmath.exp(w)
-        return ew * m1, ew * (m1 - dm1), ew * m2, ew * (m2 - dm2)
-    return _kummer_sums(a, b, w)
-
-
-# The two columns of the parabolic-cylinder parametrix evaluate D_{-nu-1}(+-iw)
-# and D_nu(+-w); the Kummer reflection above maps the first column's pair of
-# sums onto exactly the second's (c - a gives -nu/2 and (1 - nu)/2), bit for
-# bit when nu is purely imaginary, so the last pcf_d call's pair is kept.
-@lru_cache(maxsize=1)
-def _kummer_sums(a: complex, b: complex, w: complex) -> tuple[complex, ...]:
-    """M(a, 1/2, w), dM/dw, M(b, 3/2, w), dM/dw for Re w >= 0 and
-    |Im w| <= 9, each sum stopping on its own test.  A larger imaginary part
-    oscillates (cancellation ~ e^{|Im w|}); ``pcf_d`` then transports from
-    z = 0 instead of summing."""
-    term1 = term2 = total1 = total2 = 1.0 + 0.0j
-    weighted1 = weighted2 = 0.0 + 0.0j  # sums of k * term_k
-    done1 = done2 = False
-    for k, (den1, den2, k1) in enumerate(_KUMMER_TABLE):
-        if not done1:
-            term1 = term1 * w * (a + k) / den1
-            total1 += term1
-            weighted1 += k1 * term1
-            done1 = k > 3 and abs(term1) < 1e-17 * (abs(total1) + 1e-300)
-        if not done2:
-            term2 = term2 * w * (b + k) / den2
-            total2 += term2
-            weighted2 += k1 * term2
-            done2 = k > 3 and abs(term2) < 1e-17 * (abs(total2) + 1e-300)
-        if done1 and done2:
-            break
-    return total1, weighted1 / w, total2, weighted2 / w
 
 
 @lru_cache(maxsize=2)  # the orders nu and -nu-1 of a parametrix sweep
 def _pcf_at_zero(nu: complex) -> tuple[complex, complex]:
     # D_nu(0) = 2^{nu/2} sqrt(pi) / Gamma((1 - nu)/2) and
-    # D_nu'(0) = -2^{(nu+1)/2} sqrt(pi) / Gamma(-nu/2): the even and odd
-    # prefactors of the series
+    # D_nu'(0) = -2^{(nu+1)/2} sqrt(pi) / Gamma(-nu/2): the transport's seeds
     pre = cmath.exp(0.5 * nu * math.log(2.0))
     return (_SQRT_PI * pre * complex(rgamma(0.5 * (1.0 - nu))),
             -math.sqrt(2.0 * math.pi) * pre * complex(rgamma(-0.5 * nu)))
-
-
-def _pcf_series(nu: complex, z: complex) -> tuple[complex, complex]:
-    w = 0.5 * z * z
-    s1, ds1, s2, ds2 = _kummer_pair(nu, w)
-    a_coef, b_coef = _pcf_at_zero(nu)
-    env = cmath.exp(-0.5 * w)
-    even = a_coef * s1
-    odd = b_coef * z * s2
-    value = env * (even + odd)
-    deriv = env * (-0.5 * z * (even + odd)
-                   + a_coef * ds1 * z + b_coef * s2 + b_coef * z * z * ds2)
-    return value, deriv
 
 
 # per asymptotic term s: 2s, the denominator 2(s + 1), and the weight s + 1
@@ -230,20 +162,49 @@ _TERM_TABLE = tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
                     for m in range(_TAYLOR_TERMS - 2))
 
 
+@lru_cache(maxsize=1)  # Z's two columns share them (module notes)
+def _origin_parts(p0: complex, h4: complex) -> tuple[complex, ...]:
+    """The even and odd parts of a Taylor step h from z = 0, where the
+    coefficients obey (m+2)(m+1) a_{m+2} = -q a_m + a_{m-2}/4: with
+    b_m = a_m h^m, p0 = -q h^2 and h4 = h^4/4, (sum b_m, sum m b_m) over the
+    even m for a_0 = 1, a_1 = 0 and over the odd m for a_0 = 0, a_1 h = 1.
+    Each table entry pair gives one term of each part; the loop stops once
+    both parts' terms fall below 1e-18 of their sums three times in a row."""
+    even, even_d, odd, odd_d = 1.0 + 0j, 0j, 1.0 + 0j, 1.0 + 0j
+    e2, e, o2, o = 0j, even, 0j, odd  # b_{m-2}, b_m of each part
+    small = 0
+    terms = iter(_TERM_TABLE)
+    for (inv_e, m2_e), (inv_o, m2_o) in zip(terms, terms):
+        e_new = (p0 * e + h4 * e2) * inv_e
+        o_new = (p0 * o + h4 * o2) * inv_o
+        even += e_new
+        even_d += m2_e * e_new
+        odd += o_new
+        odd_d += m2_o * o_new
+        tiny = abs(e_new) < 1e-18 * abs(even) and abs(o_new) < 1e-18 * abs(odd)
+        small = small + 1 if tiny else 0
+        if small >= 3:
+            break
+        e2, e, o2, o = e, e_new, o, o_new
+    return even, even_d, odd, odd_d
+
+
 def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
     """Carry (D_nu, D_nu') from z = 0 outward along the segment to z, in equal
     Taylor steps of |h| <= ``_BAND_STEP`` of the Weber ODE
-    u'' = (z^2/4 - nu - 1/2) u: two steps for every band point.  They sum
-    43% fewer coefficients than unit steps; the longer steps cancel more,
-    up to 7.0e-13 on seeded band points at |nu| <= 1.12 (2.4e-14 in unit
-    steps), which stays under the error the seeds set at |nu| = 2."""
+    u'' = (z^2/4 - nu - 1/2) u: one step up to |z| = 4, two beyond.  The
+    first step sums the even and odd parts of ``_origin_parts``."""
     u, up = _pcf_at_zero(nu)
-    n_steps = max(1, math.ceil(abs(z) / _BAND_STEP))
+    if z == 0:
+        return u, up
+    n_steps = math.ceil(abs(z) / _BAND_STEP)
     h = z / n_steps
     q = nu + 0.5
     h2 = h * h
     h4 = 0.25 * h2 * h2
-    for i in range(n_steps):
+    even, even_d, odd, odd_d = _origin_parts(-q * h2, h4)
+    u, up = u * even + up * h * odd, u * even_d / h + up * odd_d
+    for i in range(1, n_steps):
         c = i * h
         p0 = (0.25 * c * c - q) * h2
         p1 = 0.5 * c * h2 * h
@@ -298,14 +259,12 @@ def _pcf_wedge(nu: complex, z: complex) -> tuple[complex, complex]:
 def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     """Parabolic cylinder function: return (D_nu(z), d/dz D_nu(z)).
 
-    Tested range: |z| <= 50 and |nu| <= 2 on every path; the band also at
-    the orders -2.58i and -1 + 2.58i (|nu| <= 2.77), near those of the
-    parametrix at the edge pair (alpha, k) = (0.4999, 0).  Relative accuracy
-    is ~1e-12 in the right wedge and the band at |nu| <= 2 and ~6e-12 in the
-    band at the edge orders (see the module notes), ~2e-11 elsewhere, but
-    ~1e-10 where D_nu is small next to its even and odd series parts: near
-    |nu| = 2, |z| ~ 4-6, arg z ~ +-45 degrees (8.3e-11 in D and 1.1e-10 in D'
-    at nu = -1 + 2i, z = 3.48 + 2.53i, relative to mpmath).
+    Tested range: |z| <= 50 and |nu| <= 2 on every path; below the ring
+    also at the orders -2.58i and -1 + 2.58i (|nu| <= 2.77), near those of
+    the parametrix at the edge pair (alpha, k) = (0.4999, 0).  Relative
+    accuracy is ~1e-12 in the right wedge and the band at |nu| <= 2, and
+    ~1.5e-11 past the ring; below it, elsewhere, up to 1.3e-11 at |nu| = 2
+    and 2.8e-11 at the edge orders (see the module notes).
     """
     nu = complex(nu)
     z = complex(z)
@@ -329,10 +288,8 @@ def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
         return _pcf_connect(nu, z)
     if r >= _PCF_ASYM_RADIUS:
         return _pcf_asym(nu, z)
-    # Below the ring the series cancels in the right wedge Re z^2 > 6 and in the
-    # band |Im z^2| > 18 (module notes); where D is recessive there, the wedge path.
+    # Below the ring, where D is recessive in the right wedge Re z^2 > 6 and in
+    # the band |Im z^2| > 18, the wedge path; elsewhere transport from z = 0.
     if z.real > 0.0 and (z2.real > 6.0 or (z2.real > 0.0 and abs(z2.imag) > 18.0)):
         return _pcf_wedge(nu, z)
-    if abs(z2.imag) > 18.0:
-        return _pcf_origin(nu, z)
-    return _pcf_series(nu, z)
+    return _pcf_origin(nu, z)

@@ -5,13 +5,16 @@ import pathlib
 import pkgutil
 
 import painleve_mkdv
+from painleve_mkdv.integrals import pv_total_integral, v_hat
+from painleve_mkdv.rh_verify import parametrix_decay
+from painleve_mkdv.stokes import make_params
 
 # every functools cache the package holds; one more needs a reason to be here
 CACHES = {
     "painleve_mkdv.asymptotics._coefficients",
     "painleve_mkdv.pii.tuned_solution",
     "painleve_mkdv.rh_verify._pair_terms",
-    "painleve_mkdv.specfun._kummer_sums",
+    "painleve_mkdv.specfun._origin_parts",
     "painleve_mkdv.specfun._pcf_at_zero",
     "painleve_mkdv.specfun._pcf_core",
 }
@@ -61,6 +64,21 @@ def test_module_caches_are_bounded():
     unbounded = [name for name, fn in found.items()
                  if not isinstance(fn.cache_info().maxsize, int)]
     assert unbounded == []
+
+
+def test_each_cache_serves_traffic():
+    # a cache that no call of a check reuses costs memory and earns nothing:
+    # from empty caches, one parametrix decay sweep, one total integral and
+    # one transform at one pair give each cache hits
+    found = dict(_cached_callables())
+    for fn in found.values():
+        fn.cache_clear()
+    p = make_params(0.25, 0.3)
+    parametrix_decay(p)
+    pv_total_integral(p)
+    v_hat(p, 0.5)
+    idle = [name for name, fn in found.items() if fn.cache_info().hits == 0]
+    assert idle == []
 
 
 def test_no_private_scipy_interpolant_import():

@@ -424,20 +424,21 @@ def test_pair_terms_cache_is_bounded_and_formed_once_per_sweep():
     assert (info.misses, info.hits) == (len(pairs), len(pairs) * (2 * 13 * 16 - 1))
 
 
-def test_z_parametrix_columns_share_kummer_sums(monkeypatch):
-    # at |Re w^2| <= 6, |w| < 7.6 both columns of Z take the series path, and
-    # the Kummer reflection maps the growing column's pair of sums onto the
-    # recessive column's: the second pcf_d call finds the pair in the cache
-    assert sf._kummer_sums.cache_info().maxsize == 1
+def test_z_parametrix_columns_share_origin_parts(monkeypatch):
+    # at |Re w^2| <= 6, |w| < 4 both columns of Z take one Taylor step from
+    # z = 0, and D_{-nu-1}(+-iw) and D_nu(+-w) solve one Weber ODE in w: the
+    # second pcf_d call finds the step's even and odd parts in the cache
+    assert sf._origin_parts.cache_info().maxsize == 1
     nu = -0.5j
     w = 1.2 * cmath.exp(1j * (0.25 * math.pi + 0.11))
     assert abs((w * w).real) <= 6.0
     sf._pcf_core.cache_clear()
-    sf._kummer_sums.cache_clear()
+    sf._origin_parts.cache_clear()
     cached = z_parametrix(nu, w)
-    info = sf._kummer_sums.cache_info()
+    info = sf._origin_parts.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    monkeypatch.setattr(sf, "_kummer_sums", sf._kummer_sums.__wrapped__)
+    monkeypatch.setattr(sf, "_origin_parts", sf._origin_parts.__wrapped__)
+    sf._pcf_core.cache_clear()
     assert np.array_equal(z_parametrix(nu, w), cached)
 
 

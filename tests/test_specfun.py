@@ -273,6 +273,22 @@ def test_pcf_band_at_edge_orders_matches_oracle():
     _assert_matches_oracle(ORDERS_EDGE, _band_points(21, 94), 1.5e-11)
 
 
+def _series_region_points(seed, count):
+    # below the ring with |Im z^2| <= 18, outside the reflected zone
+    # (Re z^2 > 6, Re z < 0) and the wedge path's zone (Re z^2 > 6, Re z > 0):
+    # the region the even/odd Kummer series used to cover, where D_nu comes
+    # from Taylor transport outward from z = 0
+    return _seeded_points(seed, count,
+                          lambda z, z2: abs(z2.imag) <= 18.0 and z2.real <= 6.0)
+
+
+def test_pcf_series_region_matches_oracle():
+    # the worst relative errors measured here are 2.5e-12 at |nu| = 2 and
+    # 5.1e-12 at the edge orders (the Kummer series read 4.4e-11 and 1.2e-10)
+    _assert_matches_oracle(ORDERS_TWO, _series_region_points(22, 100), 1e-11)
+    _assert_matches_oracle(ORDERS_EDGE, _series_region_points(23, 100), 1.5e-11)
+
+
 def test_pcf_wedge_matches_oracle():
     # the right near-real wedge Re z^2 > 6, Re z >= 0, |z| < 7.6, where D_nu
     # comes from the continued fraction for D_{nu+1}/D_nu and the Wronskian
@@ -295,16 +311,26 @@ def _orders_in_turn(pts):
     return [(BAND_ORDERS[j % len(BAND_ORDERS)], z) for j, z in enumerate(pts)]
 
 
+def _clear_specfun_caches():
+    for fn in (sf._pcf_core, sf._pcf_at_zero, sf._origin_parts):
+        fn.cache_clear()
+
+
 def test_pcf_band_transport_stops_before_its_cap(monkeypatch):
-    # every Taylor step of the outward band transport from z = 0 ends on its
-    # own stopping test: raising the coefficient cap changes no bit
-    args = _orders_in_turn(_band_points(13, 60))
+    # every Taylor step of the transport from z = 0 ends on its own stopping
+    # test: raising the coefficient cap changes no bit.  Band points take two
+    # steps; just inside |z| = 4 near the imaginary axis one step is longest
+    near_axis = [3.99 * cmath.exp(1j * (sign * 0.5 * math.pi + delta))
+                 for sign in (1.0, -1.0) for delta in np.linspace(-0.3, 0.3, 7)]
+    args = _orders_in_turn(_band_points(13, 60)) + [
+        (nu, z) for nu in ORDERS_TWO + ORDERS_EDGE for z in near_axis]
+    _clear_specfun_caches()
     capped = [pcf_d(nu, z) for nu, z in args]
     longer = tuple((1.0 / ((m + 2.0) * (m + 1.0)), m + 2.0)
                    for m in range(4 * sf._TAYLOR_TERMS - 2))
     assert longer[:len(sf._TERM_TABLE)] == sf._TERM_TABLE
     monkeypatch.setattr(sf, "_TERM_TABLE", longer)
-    sf._pcf_core.cache_clear()
+    _clear_specfun_caches()
     assert [pcf_d(nu, z) for nu, z in args] == capped
 
 
@@ -326,32 +352,8 @@ def test_pcf_wedge_fraction_raises_at_its_cap(monkeypatch):
         pcf_d(-0.5j, 3.0 + 0.5j)
 
 
-# Reference loops: the per-sum Kummer series and the asymptotic series as
-# written before their factors moved to module tables.  The tabled kernels
-# must reproduce them bit for bit.
-
-def _loop_kummer_sum(a, c, w):
-    term = 1.0 + 0.0j
-    total = term
-    weighted = 0.0 + 0.0j  # sum of k * term_k
-    for k in range(0, 600):
-        term = term * w * (a + k) / ((c + k) * (k + 1.0))
-        total += term
-        weighted += (k + 1.0) * term
-        if k > 3 and abs(term) < 1e-17 * (abs(total) + 1e-300):
-            break
-    return total, weighted / w
-
-
-def _loop_kummer(a, c, w):
-    if w == 0:
-        return 1.0 + 0.0j, a / c
-    if w.real < 0.0:
-        m, dm = _loop_kummer_sum(c - a, c, -w)
-        ew = cmath.exp(w)
-        return ew * m, ew * (m - dm)
-    return _loop_kummer_sum(a, c, w)
-
+# Reference loop: the asymptotic series as written before its factors moved
+# to a module table.  The tabled kernel must reproduce it bit for bit.
 
 def _loop_pcf_asym(nu, z):
     inv_z2 = 1.0 / (z * z)
@@ -387,20 +389,6 @@ def _general_orders(rng, count):
         if abs(nu) <= 2.0:
             orders.append(nu)
     return orders
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_kummer_pair_matches_per_sum_loop(sign):
-    # series-region arguments (|z| < 7.6, |Im z^2| <= 18) with Re z^2 > 0,
-    # where both sums run at w = z^2/2, or Re z^2 < 0, where both are
-    # reflected; and z = 0
-    rng = np.random.default_rng(16 if sign > 0 else 17)
-    pts = _seeded_points(int(rng.integers(1 << 30)), 150,
-                         lambda z, z2: abs(z2.imag) <= 18.0 and sign * z2.real > 0.0)
-    for nu, z in zip(_general_orders(rng, len(pts) + 1), pts + [0j]):
-        w = 0.5 * z * z
-        want = _loop_kummer(-0.5 * nu, 0.5, w) + _loop_kummer(0.5 * (1.0 - nu), 1.5, w)
-        assert _hex(sf._kummer_pair(nu, w)) == _hex(want)
 
 
 def test_tabled_asymptotic_series_matches_loop():
