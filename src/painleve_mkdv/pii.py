@@ -137,7 +137,7 @@ class SolutionGrid:
         if self.coefficients is None:
             raise GridRangeError("grid has no dense output (coefficients is None)")
         x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr < self.x_min - 1e-12) or np.any(x_arr > self.x_max + 1e-12):
+        if not np.all((x_arr >= self.x_min - 1e-12) & (x_arr <= self.x_max + 1e-12)):
             raise GridRangeError(
                 f"x outside grid range [{self.x_min:g}, {self.x_max:g}]")
         v, vp = self._dense(x_arr)

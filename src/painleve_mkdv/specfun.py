@@ -14,14 +14,14 @@ Numerical layout:
   Gamma factors of ``pcf_d`` come from ``scipy.special.rgamma``, which is
   exactly zero at the poles.
 * ``pcf_d`` is built here, since scipy has no complex-order D_nu.  Its one
-  path chooser, ``_pcf_core``, reflects (through ``_pcf_core`` again) where
-  |arg z| > pi/2 and |z| >= 7.6 or Re z^2 > 6, and otherwise takes the
-  large-z expansion beyond |z| = 7.6.  Below the ring:
-  - where D_nu is recessive in the right wedge Re z^2 > 6 and in the band
-    |Im z^2| > 18, Re z^2 > 0: D_{nu+1}/D_nu from its continued fraction
-    (Gautschi, SIAM Rev. 9 (1967); at most 128 terms, 78 seen on
-    |nu| <= 2.3), scaled by the Wronskian with the dominant D_{-nu-1}(-+iz)
-    (DLMF 12.2);
+  path chooser, ``_pcf_core``, has four rules, tried in turn:
+  - reflect (through ``_pcf_core`` again) where Re z < 0 and |z| >= 7.6 or
+    Re z^2 > 6; else the large-z expansion beyond |z| = 7.6;
+  - in the sector |arg z| < pi/4 beyond Re z = sqrt 6, where D_nu is
+    recessive: D_{nu+1}/D_nu from its continued fraction (Gautschi, SIAM
+    Rev. 9 (1967); at most 128 terms, 84 seen on the sector's edge at
+    |nu| <= 2.77, 105 at |nu| = 5.6), scaled by the Wronskian with the
+    dominant D_{-nu-1}(-+iz) (DLMF 12.2);
   - everywhere else: Taylor transport of the Weber ODE outward from
     (D_nu(0), D_nu'(0)) in closed form, in equal steps of |h| <= 4 (one up
     to |z| = 4, two beyond) of at most 160 coefficients, each stopping once
@@ -29,12 +29,11 @@ Numerical layout:
     centred at 0, so its even and odd parts run apart (at most 80
     coefficients seen on |nu| <= 2.8).
   Against 30-digit mpmath in D and D', the seeded oracle sets read at most
-  9.0e-13 relative at 11 orders with |nu| <= 2 in the wedge and band, and
-  2.5e-12 on 100 points of the rest at |nu| = 2; at the edge orders -2.58i
-  and -1 + 2.58i, 6.0e-12 in the band and 5.1e-12 elsewhere.  Wider
-  probes (1000 points each) reach 1.3e-11 (|nu| = 2) and 2.6e-11 (edge)
-  in the recessive sector Re z > 0, 0 < Re z^2 <= 6, where the transport
-  carries the dominant solution's rounding.
+  9.0e-13 relative at 11 orders with |nu| <= 2 in the near-real wedge and
+  the band |Im z^2| > 18, and 2.5e-12 elsewhere at |nu| = 2; at the edge
+  orders -2.58i and -1 + 2.58i, 6.0e-12 in the band and 5.1e-12
+  elsewhere.  Probes of 1000 points of |z| < 7.6 reach 5.7e-12 (|nu| = 2)
+  and 1.4e-11 (edge, upper left, where the transport takes two steps).
 * The transport and the expansion sum over tables, built at import, of the
   factors that depend on the term index alone.
 * ``_pcf_core`` keeps its last two points: the wedge path's partner is the
@@ -96,8 +95,8 @@ def log_gamma(z: complex) -> complex:
 _PCF_ASYM_RADIUS = 7.6
 _PCF_MAX_ABS = 50.0
 _TAYLOR_TERMS = 160  # coefficients per transport step of |h| <= _BAND_STEP
-_BAND_STEP = 4.0  # two steps for every band point (4.24 < |z| < 7.6)
-_CF_TERMS = 128  # continued-fraction terms; 78 seen on |nu| <= 2.3
+_BAND_STEP = 4.0  # one transport step up to |z| = 4, two beyond
+_CF_TERMS = 128  # continued-fraction terms; 84 seen on |nu| <= 2.77
 
 
 @lru_cache(maxsize=2)  # the orders nu and -nu-1 of a parametrix sweep
@@ -230,8 +229,8 @@ def _pcf_origin(nu: complex, z: complex) -> tuple[complex, complex]:
 
 
 def _pcf_wedge(nu: complex, z: complex) -> tuple[complex, complex]:
-    """D_nu where it is recessive (Re z > 0, Re z^2 > 0, |z| < 7.6): there it
-    is the minimal solution of D_{nu+1} - z D_nu + nu D_{nu-1} = 0 as the
+    """D_nu where it is recessive (|arg z| < pi/4, Re z > sqrt 6, |z| < 7.6):
+    it is the minimal solution of D_{nu+1} - z D_nu + nu D_{nu-1} = 0 as the
     order falls, so f = D_{nu+1}/D_nu = z - nu/(z + (1-nu)/(z + ...)) by
     modified Lentz, and D_nu'/D_nu = z/2 - f.  The Wronskian with the dominant
     partner, W{D_nu(z), D_{-nu-1}(sz)} = -s e^{-s pi nu/2}, sets the scale.
@@ -262,9 +261,10 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
     Tested range: |z| <= 50 and |nu| <= 2 on every path; below the ring
     also at the orders -2.58i and -1 + 2.58i (|nu| <= 2.77), near those of
     the parametrix at the edge pair (alpha, k) = (0.4999, 0).  Relative
-    accuracy is ~1e-12 in the right wedge and the band at |nu| <= 2, and
-    ~1.5e-11 past the ring; below it, elsewhere, up to 1.3e-11 at |nu| = 2
-    and 2.8e-11 at the edge orders (see the module notes).
+    accuracy is ~1e-12 where D_nu is recessive below the ring at |nu| <= 2
+    and ~1.5e-11 past the ring; below it, elsewhere, up to 5.7e-12 at
+    |nu| = 2 and 2.8e-11 at the edge orders (see the module notes).  Larger
+    orders lose through the reflection's e^{i pi nu}: 1.1e-7 at nu = -5.6i.
     """
     nu = complex(nu)
     z = complex(z)
@@ -278,18 +278,18 @@ def pcf_d(nu: complex, z: complex) -> tuple[complex, complex]:
 
 @lru_cache(maxsize=2)  # a wedge point and its partner, Z's two columns
 def _pcf_core(nu: complex, z: complex) -> tuple[complex, complex]:
-    # Past |arg z| = pi/2 the reflection identity takes over on the ring, where
-    # the Stokes phenomenon switches on a subdominant exponential, and in the
-    # left wedge Re z^2 > 6 below it, where D is dominant and the series
-    # cancels: the reflected arguments keep |z| and have |arg| <= pi/2.
+    # Reflect (to arguments of the same |z| with Re >= 0) where Re z < 0 on
+    # the ring, where the Stokes phenomenon switches on a subdominant
+    # exponential, and in the left wedge Re z^2 > 6 below it, where D_nu is
+    # recessive at orders near 0, 1, 2, ... (transport: 9.0e-7 at nu = 2).
     z2 = z * z
     r = abs(z)
-    if (r >= _PCF_ASYM_RADIUS or z2.real > 6.0) and abs(cmath.phase(z)) > 0.5 * math.pi:
+    if z.real < 0.0 and (r >= _PCF_ASYM_RADIUS or z2.real > 6.0):
         return _pcf_connect(nu, z)
     if r >= _PCF_ASYM_RADIUS:
         return _pcf_asym(nu, z)
-    # Below the ring, where D is recessive in the right wedge Re z^2 > 6 and in
-    # the band |Im z^2| > 18, the wedge path; elsewhere transport from z = 0.
-    if z.real > 0.0 and (z2.real > 6.0 or (z2.real > 0.0 and abs(z2.imag) > 18.0)):
+    # Below the ring, in the sector |arg z| < pi/4 beyond Re z = sqrt 6, where
+    # D_nu is recessive, the wedge path; elsewhere transport from z = 0.
+    if abs(z.imag) < z.real and z.real * z.real > 6.0:
         return _pcf_wedge(nu, z)
     return _pcf_origin(nu, z)

@@ -538,3 +538,17 @@ def test_launch_point_follows_the_omitted_orders():
 def test_grid_range_error(sol_025_03):
     with pytest.raises(GridRangeError):
         sol_025_03.grid.evaluate(sol_025_03.x_match + 1.0)
+
+
+@pytest.mark.parametrize("launch", ["left", "right"])
+def test_grid_rejects_non_finite_x(launch):
+    # NaN fails the range check as +-inf do, scalar or inside an array
+    if launch == "left":
+        grid = solve_left_launch(make_params(0.0, 0.3), -30.0, 4.0, 1e-8)
+    else:
+        grid = solve_right_launch_homogeneous(0.3, 12.0, -10.0, 1e-8)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GridRangeError):
+            grid.evaluate(bad)
+        with pytest.raises(GridRangeError):
+            grid.evaluate(np.array([-5.0, bad, 2.0]))

@@ -212,10 +212,10 @@ def test_pcf_range_guard():
             pcf_d(nu, z)
 
 
-# The cancellation band |Im z^2| > 18, Re z^2 <= 6, |z| < 7.6: the terms of
-# the even/odd series cancel there, and D_nu comes from Taylor transport of
-# the Weber ODE outward from z = 0, or, where it is recessive (Re z > 0,
-# Re z^2 > 0), from the wedge's continued fraction.
+# The band |Im z^2| > 18, Re z^2 <= 6, |z| < 7.6, where D_nu's even and odd
+# Taylor parts about 0 cancel: D_nu comes from Taylor transport of the Weber
+# ODE outward from z = 0, or, in the sector |arg z| < pi/4 where it is
+# recessive, from the wedge's continued fraction.
 BAND_ORDERS = [-0.0458j, -1 + 0.0458j, -0.5j, -1 + 0.5j, 0.3 + 0.2j]
 # |nu| = 2 orders, where D_nu is smallest next to its even and odd parts
 ORDERS_TWO = [-1 + 2j, -2j, 2.0, -2.0, -1 - 2j, 1.5j]
@@ -301,6 +301,21 @@ def test_pcf_wedge_at_order_two_matches_oracle():
     _assert_matches_oracle(ORDERS_TWO, _wedge_points(14, 60), 2e-12)
 
 
+def _recessive_sector_points(seed, count):
+    # the sector |arg z| < pi/4 beyond Re z = sqrt 6 outside the near-real
+    # wedge and the band: D_nu is recessive there and takes the wedge's path
+    return _seeded_points(seed, count, lambda z, z2: z.real > math.sqrt(6.0)
+                          and 0.0 < z2.real <= 6.0 and abs(z2.imag) <= 18.0)
+
+
+def test_pcf_recessive_sector_matches_oracle():
+    # the worst relative errors measured here are 9.0e-13 at |nu| = 2 and
+    # 3.7e-12 at the edge orders (the transport from z = 0 read 1.5e-11 and
+    # 2.6e-11, carrying the dominant solution's rounding)
+    _assert_matches_oracle(ORDERS_TWO, _recessive_sector_points(22, 100), 5e-12)
+    _assert_matches_oracle(ORDERS_EDGE, _recessive_sector_points(23, 100), 1e-11)
+
+
 def _recessive_band_points(seed, count):
     # band points where D_nu is recessive, which take the wedge's path
     return _seeded_points(seed, count, lambda z, z2: abs(z2.imag) > 18.0
@@ -335,10 +350,14 @@ def test_pcf_band_transport_stops_before_its_cap(monkeypatch):
 
 
 def test_pcf_wedge_fraction_stops_before_its_cap(monkeypatch):
-    # on seeded wedge points and on band points where D_nu is recessive the
-    # continued fraction ends on its own stopping test: raising its term cap
-    # changes no bit
-    args = _orders_in_turn(_wedge_points(11, 60) + _recessive_band_points(15, 60))
+    # on seeded wedge points, on band points where D_nu is recessive and just
+    # inside the sector's edge Re z = sqrt 6, where it takes the most terms,
+    # the continued fraction ends on its own stopping test: raising its term
+    # cap changes no bit
+    x = math.sqrt(6.0) + 1e-9
+    edge = [complex(x, t * x) for t in np.linspace(-0.999, 0.999, 15)]
+    args = _orders_in_turn(_wedge_points(11, 60) + _recessive_band_points(15, 60)) + [
+        (nu, z) for nu in ORDERS_TWO + ORDERS_EDGE for z in edge]
     capped = [pcf_d(nu, z) for nu, z in args]
     monkeypatch.setattr(sf, "_CF_TERMS", 4 * sf._CF_TERMS)
     sf._pcf_core.cache_clear()
